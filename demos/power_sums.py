@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Power sums without Bernoulli numbers: S_m(n) = 1^m + ... + n^m evaluated
 as an integer combination of products of consecutive integers, with cost
-independent of the size of n.
+that grows with the number of digits of n rather than with n.
 """
 
 import time
@@ -35,7 +35,7 @@ for m, label in ((1, "n(n+1)/2"), (2, "n(n+1)(2n+1)/6"), (3, "(n(n+1)/2)^2")):
     print(f"  m={m}: {values}   ({label})")
 
 print()
-print("Cost is flat in n -- the naive loop is not:")
+print("Cost follows the digits of n -- the naive loop follows n itself:")
 report = bench_power_sum(10, 10**5, reps=3)
 print(f"  m=10, n=10^5: basis {report.flick_median_seconds * 1e6:8.1f} us"
       f"   naive {report.naive_median_seconds * 1e6:12.1f} us")

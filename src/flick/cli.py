@@ -1,8 +1,8 @@
 """Command-line surface: compute, verify, export and benchmark.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  All numeric
-output is full decimal, and every command is deterministic for fixed
-arguments except the timing figures of `bench`.
+output is full decimal, of any length, and every command is deterministic for
+fixed arguments except the timing figures of `bench`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .bfile import format_bfile, parse_bfile
 from .powersum import bench_power_sum, power_sum, power_sum_naive
@@ -24,6 +26,10 @@ from .verify import run_suite
 __all__ = ["main"]
 
 FORMATS = ("table", "csv", "json", "bfile")
+
+# CPython's int/str conversion limit as the CLI found it (0: no limit).  Input
+# (arguments, cache shards) is parsed under it; only output is exempt.
+_INPUT_INT_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class UsageError(Exception):
@@ -68,6 +74,23 @@ def _grid_output(name: str, rows: list[list[int]], offset: int, fmt: str) -> str
     raise UsageError(f"unknown format {fmt!r}")
 
 
+@contextmanager
+def _int_str_digits(limit: int) -> Iterator[None]:
+    """Run the block under CPython's int/str conversion limit `limit` (0: none).
+
+    Interpreters without the limit (before 3.10.7) run the block unchanged.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _require_positive(**named: int) -> None:
     for label, value in named.items():
         if value < 1:
@@ -86,14 +109,18 @@ def _triangle_rows_cached(count: int, method: str) -> list[list[int]]:
     if any(not shard(n).exists() for n in range(1, count + 1)):
         fresh = triangle_rows(count, method=method).rows
     rows = []
-    for n in range(1, count + 1):
-        path = shard(n)
-        if path.exists():
-            _, values = parse_bfile(path.read_text())
-            rows.append(values)
-        else:
-            rows.append(fresh[n - 1])
-            path.write_text(format_bfile(fresh[n - 1], 1))
+    # Shards are input read back on later runs: they are written and parsed
+    # under the limit the process started with, so a shard is never written
+    # that could not be read back.
+    with _int_str_digits(_INPUT_INT_STR_DIGITS):
+        for n in range(1, count + 1):
+            path = shard(n)
+            if path.exists():
+                _, values = parse_bfile(path.read_text())
+                rows.append(values)
+            else:
+                rows.append(fresh[n - 1])
+                path.write_text(format_bfile(fresh[n - 1], 1))
     return rows
 
 
@@ -287,7 +314,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Results are printed in full however long they are; arguments were
+        # parsed above under the default limit, cache shards keep it too.
+        with _int_str_digits(0):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,14 +15,15 @@ driven by the parities of n and k:
                                 + (2 / (k - 1)) * T(n - 1, k - 2)
 
 with boundaries T(n, 1) = T(n, n) = 1.  Every division above is exact in
-integers; the code asserts that rather than assuming it.
+integers: (k + 1) / 2 is an integer for odd k, and the code asserts the other
+two rather than assuming them.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .exact import exact_div
 
@@ -99,42 +100,60 @@ def triangle_row_extraction(n: int) -> list[int]:
     return row
 
 
-@lru_cache(maxsize=None)
+def _next_row(prev: list[int]) -> list[int]:
+    """Row n = len(prev) + 1 from row n - 1 (row 1 from the empty row).
+
+    This is the only copy of the parity-split recurrence in the module
+    docstring, filled left to right so each even slot can read the odd slot
+    just before it.  The factors 2 / k and 2 / (k - 1) are applied as
+    exact_div by k / 2 and (k - 1) / 2, exact precisely when the originals are.
+    """
+    n = len(prev) + 1
+    row = [1] * n
+    odd_n = n % 2 == 1
+    for k in range(2, n):
+        if k % 2 == 0:
+            row[k - 1] = 0 if odd_n else exact_div(row[k - 2], k // 2)
+        else:
+            value = (k + 1) // 2 * prev[k - 1]
+            if odd_n:
+                value += exact_div(prev[k - 3], (k - 1) // 2)
+            row[k - 1] = value
+    return row
+
+
+class _RowTable:
+    """Grow-on-demand rows 1..len of the triangle, filled by _next_row.
+
+    Extension is serialized by a lock; rows are only ever appended, so reads
+    of already-filled rows are safe to run concurrently.
+    """
+
+    def __init__(self) -> None:
+        self._rows: list[list[int]] = []
+        self._lock = threading.Lock()
+
+    def row(self, n: int) -> list[int]:
+        """Row n (n >= 1), shared with the table: callers must not mutate it."""
+        if n > len(self._rows):
+            with self._lock:
+                while len(self._rows) < n:
+                    self._rows.append(_next_row(self._rows[-1] if self._rows else []))
+        return self._rows[n - 1]
+
+
+_TABLE = _RowTable()
+
+
 def triangle_entry_recurrence(n: int, k: int) -> int:
-    """T(n, k) via the parity-split recurrence; 0 outside 1 <= k <= n."""
-    if k == 1 or k == n:
-        return 1
-    if k < 1 or k > n:
+    """T(n, k) via the parity-split recurrence; 0 outside 1 <= k <= n.
+
+    Reads row n of a shared in-process table, filling rows up to n on first
+    use, so the cost of a first read of row n is that of the whole fill.
+    """
+    if not 1 <= k <= n:
         return 0
-    if k % 2 == 0:
-        if n % 2 == 1:
-            return 0
-        return exact_div(2 * triangle_entry_recurrence(n, k - 1), k)
-    value = exact_div((k + 1) * triangle_entry_recurrence(n - 1, k), 2)
-    if n % 2 == 1:
-        value += exact_div(2 * triangle_entry_recurrence(n - 1, k - 2), k - 1)
-    return value
-
-
-def _rows_by_recurrence(count: int) -> list[list[int]]:
-    # Iterative row-by-row fill: same case split as the memoized recurrence,
-    # but depth-independent, so row counts in the hundreds stay cheap.
-    rows: list[list[int]] = []
-    for n in range(1, count + 1):
-        prev = rows[-1] if rows else []
-        row = []
-        for k in range(1, n + 1):
-            if k == 1 or k == n:
-                row.append(1)
-            elif k % 2 == 0:
-                row.append(0 if n % 2 == 1 else exact_div(2 * row[k - 2], k))
-            else:
-                value = exact_div((k + 1) * prev[k - 1], 2)
-                if n % 2 == 1:
-                    value += exact_div(2 * prev[k - 3], k - 1)
-                row.append(value)
-        rows.append(row)
-    return rows
+    return _TABLE.row(n)[k - 1]
 
 
 def triangle_rows(count: int, method: str = "recurrence") -> FlickerTriangle:
@@ -144,7 +163,9 @@ def triangle_rows(count: int, method: str = "recurrence") -> FlickerTriangle:
     if method == "extraction":
         rows = [triangle_row_extraction(n) for n in range(1, count + 1)]
     elif method == "recurrence":
-        rows = _rows_by_recurrence(count)
+        rows = []
+        for _ in range(count):
+            rows.append(_next_row(rows[-1] if rows else []))
     else:
         raise ValueError(f"unknown method {method!r}")
     return FlickerTriangle(rows=rows)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+from faulhaber import faulhaber_sum
 from flick.bfile import parse_bfile
 from flick.cli import main
 
@@ -87,6 +89,19 @@ def test_powersum_plain(capsys):
     code, out, _ = run_cli(capsys, "powersum", "10", "100", "--check")
     assert code == 0
     assert out.splitlines()[1] == "OK"
+
+
+def test_powersum_prints_results_over_4300_digits(capsys):
+    limit = sys.get_int_max_str_digits()
+    n = 10**20
+    code, out, _ = run_cli(capsys, "powersum", "250", str(n))
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # lifted for output only
+    digits = out.strip()
+    assert len(digits) == 5018
+    # Read back in two pieces so that no conversion exceeds the default limit.
+    head, tail = digits[:-4000], digits[-4000:]
+    assert int(head) * 10**4000 + int(tail) == faulhaber_sum(250, n)
 
 
 def test_bell_sequence(capsys):

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flick
+from faulhaber import faulhaber_sum
 from flick.powersum import (
     bench_power_sum,
     expand_power_check,
@@ -136,6 +144,32 @@ class TestPowerSum:
             assert product % (k + 1) == 0
             rebuilt += product // (k + 1)
         assert rebuilt == result.value
+
+    def test_incremental_bases_match_the_direct_product(self):
+        n = 10**30
+        result = power_sum(60, n)
+        assert [k for k, _, _ in result.terms] == list(range(1, 61))
+        for k, _, basis in result.terms:
+            assert basis == integral_basis(n, k + 1)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(m=st.integers(1, 400), n=st.integers(1, 10**100))
+    def test_matches_faulhaber(self, m, n):
+        assert power_sum(m, n).value == faulhaber_sum(m, n)
+
+    def test_cold_cli_past_the_old_recursion_limit(self):
+        # A fresh process has no table rows; m = 1500 once overflowed the
+        # Python stack in the recursive coefficient lookup.
+        env = dict(os.environ, PYTHONPATH=str(Path(flick.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flick.cli", "powersum", "1500", "10"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == faulhaber_sum(1500, 10)
 
     def test_odd_row_skips_even_slots(self):
         assert [k for k, _, _ in power_sum(7, 5).terms] == [1, 3, 5, 7]

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import pytest
 
 from flick.exact import InexactDivisionError, exact_div
 from flick.triangle import (
+    _RowTable,
     build_diff_table,
     triangle_entry_recurrence,
     triangle_row_extraction,
@@ -101,6 +104,44 @@ def test_recurrence_out_of_range_is_zero():
     assert triangle_entry_recurrence(5, 0) == 0
     assert triangle_entry_recurrence(5, 6) == 0
     assert triangle_entry_recurrence(3, -1) == 0
+    assert triangle_entry_recurrence(0, 1) == 0
+    assert triangle_entry_recurrence(-3, 1) == 0
+    assert triangle_entry_recurrence(0, 0) == 0
+
+
+def _race_to_extend(targets: list[int], expected: list[list[int]]) -> None:
+    table = _RowTable()
+    start = threading.Barrier(len(targets))
+    errors: list[Exception] = []
+
+    def reader(n: int) -> None:
+        try:
+            start.wait(timeout=30)
+            assert table.row(n) == expected[n - 1]
+        except Exception as exc:  # surfaced on the main thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(n,)) for n in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert [table.row(n) for n in range(1, len(expected) + 1)] == expected
+
+
+def test_row_table_under_concurrent_extension():
+    # Threads released together race to extend a fresh table; a row appended
+    # twice or out of order would misalign every later row.
+    expected = triangle_rows(200).rows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            _race_to_extend([200, 150, 7, 90, 200, 60, 1, 180], expected)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_rows_first_ten():
@@ -117,7 +158,7 @@ def test_methods_agree_to_sixty():
     by_extraction = triangle_rows(60, method="extraction")
     by_recurrence = triangle_rows(60, method="recurrence")
     assert by_extraction.rows == by_recurrence.rows
-    # and the memoized single-entry recurrence agrees with the row fill
+    # and the single-entry lookup agrees with the row fill
     for n in (1, 17, 42, 60):
         assert by_recurrence.row(n) == [
             triangle_entry_recurrence(n, k) for k in range(1, n + 1)
