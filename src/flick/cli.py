@@ -1,6 +1,8 @@
 """Command-line surface: compute, verify, export and benchmark.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All numeric
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+error (an arithmetic fault such as an inexact division, a recursion limit, an
+operating-system error, or a cache shard that does not parse).  All numeric
 output is full decimal, of any length, and every command is deterministic for
 fixed arguments except the timing figures of `bench`.
 """
@@ -34,6 +36,10 @@ _INPUT_INT_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 class UsageError(Exception):
     """Bad argument values; reported on stderr with exit code 2."""
+
+
+class InternalError(Exception):
+    """A fault of the program or its environment; reported with exit code 3."""
 
 
 def _sequence_output(name: str, values: list[int], offset: int, fmt: str) -> str:
@@ -116,7 +122,10 @@ def _triangle_rows_cached(count: int, method: str) -> list[list[int]]:
         for n in range(1, count + 1):
             path = shard(n)
             if path.exists():
-                _, values = parse_bfile(path.read_text())
+                try:
+                    _, values = parse_bfile(path.read_text())
+                except ValueError as exc:
+                    raise InternalError(f"corrupt cache shard {path}: {exc}") from exc
                 rows.append(values)
             else:
                 rows.append(fresh[n - 1])
@@ -324,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (InternalError, ArithmeticError, RecursionError, OSError) as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

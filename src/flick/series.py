@@ -3,15 +3,21 @@
 Everything here is exact: polynomial coefficients are Python ints, series
 coefficients are Fractions, and a truncation order is carried explicitly so
 no operation can silently read terms it never computed.
+
+The two Bell routes here never read the triangle, and both are quadratic in
+big-integer steps: `bell_closed_form(n)` runs an integer recurrence for the
+exponential of a series, O(n^2); `bell_ogf_coefficients(order)` builds one
+numerator and one denominator in O(order^2) and expands them with a single
+long division, also O(order^2).  `SeriesQ` is the general truncated series
+type; neither route needs it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import InexactDivisionError
+from .exact import exact_div
 
 __all__ = [
     "PolyZ",
@@ -172,24 +178,27 @@ def row_gf_full(n: int) -> RationalFunctionZ:
 def bell_ogf_coefficients(order: int) -> list[int]:
     """Coefficients of x^1 .. x^(order-1) of the flickering Bell sequence OGF.
 
-    The OGF is a sum over k >= 1 of (x^(2k-1) + (k+1) x^(2k)) over the product
-    of (1 - j^2 x^2), j = 1..k.  Each summand's lowest term is x^(2k-1), so
-    only k with 2k - 1 < order contribute below the truncation order and the
-    infinite sum collapses to a finite exact one.
+    The OGF is a sum over k >= 1 of N_k / P_k with N_k = x^(2k-1) + (k+1) x^(2k)
+    and P_k the product of (1 - j^2 x^2), j = 1..k.  Each summand's lowest
+    term is x^(2k-1), so only k <= K with 2K - 1 < order contribute below the
+    truncation order and the infinite sum collapses to a finite exact one.
+    That sum is one fraction C_K / P_K, built with C_k = (1 - k^2 x^2) C_(k-1)
+    + N_k and P_k = (1 - k^2 x^2) P_(k-1), and expanded by one long division.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    total = [0] * order
-    k = 1
-    while 2 * k - 1 < order:
-        num = PolyZ([0] * (2 * k - 1) + [1, k + 1])
-        term = expand_rational(
-            RationalFunctionZ(num=num, den=_squared_factor_product(k, 2)), order
-        )
-        for i, c in enumerate(term):
-            total[i] += c
-        k += 1
-    return total[1:]
+    last = order // 2
+    num = [0] * (2 * last + 1)
+    den = [1] + [0] * (2 * last)
+    for k in range(1, last + 1):
+        step = k * k
+        for i in range(2 * k, 1, -1):
+            num[i] -= step * num[i - 2]
+            den[i] -= step * den[i - 2]
+        num[2 * k - 1] += 1
+        num[2 * k] += k + 1
+    total = RationalFunctionZ(num=PolyZ(num), den=PolyZ(den))
+    return expand_rational(total, order)[1:]
 
 
 class SeriesQ:
@@ -257,50 +266,30 @@ class SeriesQ:
         return f"SeriesQ({self.coeffs!r}, order={self.order})"
 
 
-def _cosh_and_x_sinh(arg: SeriesQ, x: SeriesQ) -> tuple[SeriesQ, SeriesQ]:
-    # cosh(arg) and x*sinh(arg) by direct power summation; arg has no constant
-    # term, so arg^j dies off within the truncation order and the sums are
-    # finite and exact.
-    order = arg.order
-    cosh = SeriesQ.one(order)
-    sinh = SeriesQ.zero(order)
-    power = SeriesQ.one(order)
-    for j in range(1, order):
-        power = power * arg
-        term = power.scale(Fraction(1, math.factorial(j)))
-        if j % 2 == 0:
-            cosh = cosh + term
-        else:
-            sinh = sinh + term
-    return cosh, x * sinh
-
-
 def bell_closed_form(n: int) -> int:
     """Term n of the flickering Bell sequence from its hyperbolic closed form.
 
-    With k = floor((n+1)/2) and s = sinh(sqrt(x)/2), the value is
-    (2k)! [x^k] (cosh(2s) + [n even] * s*sinh(2s)).  Substituting t = sqrt(x)
-    makes s an odd series in t, so both candidate series are even in t and
-    the x^k coefficient is the t^(2k) one.
+    With k = floor((n+1)/2) and s = sinh(t/2), the value is
+    (2k)! [t^(2k)] (cosh(2s) + [n even] * s*sinh(2s)).  Substituting t = 2u
+    turns cosh(2s) and sinh(2s) into the even and odd parts of
+    E(u) = exp(2 sinh u) = sum E_m u^m / m!, and E' = 2 cosh(u) E gives the
+    integer recurrence E_0 = 1, E_m = sum_{odd j <= m} 2 C(m-1, j-1) E_(m-j)
+    (Knuth, TAOCP Vol. 2, 4.7).  The value is then
+    (E_2k + [n even] * sum_{odd i} C(2k, i) E_(2k-i)) / 4^k, an exact
+    division.  O(k^2) big-integer steps; the triangle is never read.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     k = (n + 1) // 2
-    order = 2 * k + 1
-    # s(t) = sum t^(2i+1) / (2^(2i+1) (2i+1)!)
-    s_coeffs = [Fraction(0)] * order
-    for i in range(0, (order - 1) // 2 + 1):
-        deg = 2 * i + 1
-        if deg < order:
-            s_coeffs[deg] = Fraction(1, 2**deg * math.factorial(deg))
-    s = SeriesQ(s_coeffs, order)
-    cosh2s, s_sinh2s = _cosh_and_x_sinh(s.scale(2), s)
-    value = cosh2s.coefficient(2 * k)
-    if n % 2 == 0:
-        value += s_sinh2s.coefficient(2 * k)
-    result = value * math.factorial(2 * k)
-    if result.denominator != 1:
-        raise InexactDivisionError(
-            f"closed form gave non-integer {result} at n={n}"
+    top = 2 * k
+    exp_coeffs = [1]
+    binom = [1]  # row m - 1 of Pascal's triangle
+    for m in range(1, top + 1):
+        exp_coeffs.append(
+            2 * sum(binom[j - 1] * exp_coeffs[m - j] for j in range(1, m + 1, 2))
         )
-    return int(result)
+        binom = [1] + [binom[i - 1] + binom[i] for i in range(1, m)] + [1]
+    value = exp_coeffs[top]
+    if n % 2 == 0:
+        value += sum(binom[i] * exp_coeffs[top - i] for i in range(1, top + 1, 2))
+    return exact_div(value, 4**k)

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .todd import todd_recurrence
-from .triangle import triangle_rows
+from .triangle import _next_row
 
 __all__ = [
     "IntSeq",
@@ -45,8 +45,13 @@ def row_sums(count: int) -> IntSeq:
     """a(n) = sum_k T(n, k) for n = 1..count."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    triangle = triangle_rows(count, method="recurrence")
-    return IntSeq([sum(row) for row in triangle.rows], offset=1)
+    # Only the running row is kept: each row sum needs just the row before it.
+    sums = []
+    row: list[int] = []
+    for _ in range(count):
+        row = _next_row(row)
+        sums.append(sum(row))
+    return IntSeq(sums, offset=1)
 
 
 def _grade_sum(grade: int) -> int:
@@ -116,11 +121,18 @@ def kernel(q: int, count: int) -> IntSeq:
     """q-fold inverse binomial transform of the leading-one Bell sequence.
 
     kernel(0) is the sequence itself; applying the forward transform q times
-    to kernel(q) recovers it exactly.
+    to kernel(q) recovers it exactly.  The q passes collapse into one:
+    g_n = sum_{i=0..n} C(n, i) (-q)^(n-i) a_i.
     """
     if q < 0:
         raise ValueError("q must be >= 0")
-    seq = bell_with_leading_one(count)
-    for _ in range(q):
-        seq = inverse_binomial_transform(seq)
-    return seq
+    a = bell_with_leading_one(count).values
+    powers = [1]
+    for _ in range(1, count):
+        powers.append(-q * powers[-1])
+    values = []
+    binom = [1]  # row n of Pascal's triangle
+    for n in range(count):
+        values.append(sum(binom[i] * powers[n - i] * a[i] for i in range(n + 1)))
+        binom = [1] + [binom[i - 1] + binom[i] for i in range(1, n + 1)] + [1]
+    return IntSeq(values, offset=0)

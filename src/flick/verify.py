@@ -329,7 +329,12 @@ def _check_kernels(max_n: int | None) -> PropertyReport:
             return _fail(name, f"kernel q={q} gave {got.values}")
     reference = bell_with_leading_one(12)
     for q in (2, 4, 6, 8):
+        iterated = reference
+        for _ in range(q):
+            iterated = inverse_binomial_transform(iterated)
         seq = kernel(q, 12)
+        if seq != iterated:
+            return _fail(name, f"kernel q={q} differs from {q} inverse transforms")
         for _ in range(q):
             seq = binomial_transform(seq)
         if seq != reference:

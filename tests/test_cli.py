@@ -8,6 +8,7 @@ import pytest
 from faulhaber import faulhaber_sum
 from flick.bfile import parse_bfile
 from flick.cli import main
+from flick.exact import InexactDivisionError
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -223,3 +224,29 @@ def test_no_cache_without_env(tmp_path, monkeypatch, capsys):
     code, _, _ = run_cli(capsys, "triangle", "--rows", "4")
     assert code == 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    import flick.cli
+
+    def inexact(count):
+        raise InexactDivisionError("7 is not divisible by 2")
+
+    monkeypatch.setattr(flick.cli, "row_sums", inexact)
+    code, out, err = run_cli(capsys, "bell", "--count", "5")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: 7 is not divisible by 2\n"
+
+
+def test_corrupt_cache_shard_exits_3_naming_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FLICK_CACHE_DIR", str(tmp_path))
+    run_cli(capsys, "triangle", "--rows", "3", "--format", "csv")
+    shard = tmp_path / "triangle_row_000002.txt"
+    shard.write_text("1 1\n2 x\n")
+    code, out, err = run_cli(capsys, "triangle", "--rows", "3", "--format", "csv")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: internal: corrupt cache shard {shard}: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flick.series import (
     PolyZ,
@@ -19,6 +21,7 @@ from flick.todd import todd_recurrence, todd_row
 from flick.transforms import row_sums
 
 BELL_PREFIX = [1, 2, 2, 5, 7, 21, 37, 126, 264, 1001]
+BELL_300 = row_sums(300).values
 
 
 def poly_product_oracle(*factors: list[int]) -> list[int]:
@@ -147,6 +150,15 @@ class TestBellOgf:
         with pytest.raises(ValueError):
             bell_ogf_coefficients(0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=300))
+    def test_random_orders_match_row_sums(self, order):
+        assert bell_ogf_coefficients(order) == BELL_300[: order - 1]
+
+    def test_order_601_matches_row_sums(self):
+        # Size guard: only a quadratic route finishes this within the suite's time.
+        assert bell_ogf_coefficients(601) == row_sums(600).values
+
 
 class TestBellClosedForm:
     def test_hand_values(self):
@@ -165,6 +177,15 @@ class TestBellClosedForm:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             bell_closed_form(0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=300))
+    def test_random_terms_match_row_sums(self, n):
+        assert bell_closed_form(n) == BELL_300[n - 1]
+
+    def test_term_600_matches_row_sums(self):
+        # Size guard: only a quadratic route finishes this within the suite's time.
+        assert bell_closed_form(600) == row_sums(600).values[-1]
 
 
 class TestSeriesQ:

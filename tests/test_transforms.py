@@ -13,7 +13,7 @@ from flick.transforms import (
     kernel,
     row_sums,
 )
-from flick.triangle import triangle_row_extraction
+from flick.triangle import triangle_row_extraction, triangle_rows
 
 BELL_PREFIX = [1, 2, 2, 5, 7, 21, 37, 126, 264, 1001]
 
@@ -32,6 +32,10 @@ def test_row_sums_against_extraction():
     assert sums.offset == 1
     for n in range(1, 13):
         assert sums.values[n - 1] == sum(triangle_row_extraction(n))
+
+
+def test_row_sums_equal_sums_of_triangle_rows():
+    assert row_sums(300).values == [sum(row) for row in triangle_rows(300).rows]
 
 
 def test_row_sums_prefix():
@@ -98,6 +102,13 @@ def test_kernels_transform_back():
         for _ in range(q):
             seq = binomial_transform(seq)
         assert seq == reference
+
+
+def test_kernel_equals_iterated_inverse_transforms():
+    seq = bell_with_leading_one(40)
+    for q in range(0, 9):
+        assert kernel(q, 40) == seq
+        seq = inverse_binomial_transform(seq)
 
 
 def test_kernel_sign_alternation():
