@@ -3,35 +3,19 @@
 
 Everything is computed in plain Python integers and Fractions; identities
 come with independent computation routes and the `verify` suite cross-checks
-them all.
+them all.  The package re-exports the names the demos and the README use;
+every other name is imported from its submodule.
 """
 
-from .exact import CheckResult, InexactDivisionError, exact_div
 from .powersum import (
-    BenchReport,
-    PowerSumResult,
     bench_power_sum,
-    expand_power_check,
     fallshift,
     integral_basis,
-    lemma_difference_check,
     power_sum,
     power_sum_naive,
 )
-from .series import (
-    PolyZ,
-    RationalFunctionZ,
-    SeriesQ,
-    bell_closed_form,
-    bell_ogf_coefficients,
-    expand_rational,
-    row_gf_full,
-    row_gf_odd,
-)
-from .stirling import a008957_fd, a008957_stirling, stirling2
+from .series import bell_closed_form, bell_ogf_coefficients
 from .todd import (
-    ColumnFactorization,
-    ToddGrid,
     base_poly,
     column_transition_check,
     fit_column_polynomial,
@@ -43,42 +27,17 @@ from .todd import (
     todd_stirling,
 )
 from .transforms import (
-    IntSeq,
     antidiagonal_sums,
     bell_with_leading_one,
     binomial_transform,
-    inverse_binomial_transform,
     kernel,
     row_sums,
 )
-from .triangle import (
-    DiffTable,
-    FlickerTriangle,
-    build_diff_table,
-    triangle_entry_recurrence,
-    triangle_row_extraction,
-    triangle_rows,
-)
-from .verify import PropertyReport, run_suite
+from .triangle import build_diff_table, triangle_entry_recurrence, triangle_rows
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport",
-    "CheckResult",
-    "ColumnFactorization",
-    "DiffTable",
-    "FlickerTriangle",
-    "InexactDivisionError",
-    "IntSeq",
-    "PolyZ",
-    "PowerSumResult",
-    "PropertyReport",
-    "RationalFunctionZ",
-    "SeriesQ",
-    "ToddGrid",
-    "a008957_fd",
-    "a008957_stirling",
     "antidiagonal_sums",
     "base_poly",
     "bell_closed_form",
@@ -88,22 +47,13 @@ __all__ = [
     "binomial_transform",
     "build_diff_table",
     "column_transition_check",
-    "exact_div",
-    "expand_power_check",
-    "expand_rational",
     "fallshift",
     "fit_column_polynomial",
     "integral_basis",
-    "inverse_binomial_transform",
     "kernel",
-    "lemma_difference_check",
     "power_sum",
     "power_sum_naive",
-    "row_gf_full",
-    "row_gf_odd",
     "row_sums",
-    "run_suite",
-    "stirling2",
     "subgrid_check",
     "todd_column",
     "todd_finite_difference",
@@ -111,6 +61,5 @@ __all__ = [
     "todd_row",
     "todd_stirling",
     "triangle_entry_recurrence",
-    "triangle_row_extraction",
     "triangle_rows",
 ]

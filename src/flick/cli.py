@@ -147,17 +147,12 @@ def _cmd_todd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_row(args: argparse.Namespace) -> int:
-    _require_positive(n=args.n, count=args.count)
-    values = todd_row(args.n, args.count)
-    print(_sequence_output(f"todd_row_{args.n}", values, 1, args.format))
-    return 0
-
-
-def _cmd_col(args: argparse.Namespace) -> int:
-    _require_positive(k=args.k, count=args.count)
-    values = todd_column(args.k, args.count)
-    print(_sequence_output(f"todd_column_{args.k}", values, 1, args.format))
+def _cmd_line(args: argparse.Namespace) -> int:
+    # `row n` and `col k`: a prefix of one array row or column.
+    index = getattr(args, args.axis)
+    _require_positive(**{args.axis: index, "count": args.count})
+    values = args.line(index, args.count)
+    print(_sequence_output(f"{args.name}_{index}", values, 1, args.format))
     return 0
 
 
@@ -265,13 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--format", choices=FORMATS, default="table")
-    p.set_defaults(func=_cmd_row)
+    p.set_defaults(func=_cmd_line, axis="n", line=todd_row, name="todd_row")
 
     p = sub.add_parser("col", help="print a prefix of an array column")
     p.add_argument("k", type=int)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--format", choices=FORMATS, default="table")
-    p.set_defaults(func=_cmd_col)
+    p.set_defaults(func=_cmd_line, axis="k", line=todd_column, name="todd_column")
 
     p = sub.add_parser("powersum", help="sum of m-th powers 1..n, exactly")
     p.add_argument("m", type=int)

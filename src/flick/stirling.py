@@ -1,83 +1,82 @@
-"""Stirling numbers of the second kind and two closed forms for A008957.
+"""Stirling numbers of the second kind, the two odd-slot kernels, and A008957.
+
+Every odd-column entry of the flickering triangle, T(power, order) with order
+odd, has two closed forms that need no triangle recurrence: the order-th
+difference of j^power centred at the half-integer offset, divided exactly by
+order!, and a binomial sum against Stirling numbers.  Both start their window
+at the shift -(order - 1)/2.  `_odd_slot_difference` and `_odd_slot_stirling`
+are the only copies of the two; the closed forms here and in `flick.todd` are
+index maps over them.
 
 A008957(n, k) -- the central factorial numbers of the second kind laid out as
 a triangle -- coincides with the flickering triangle along odd rows and
-columns: A008957(n, k) = T(2n-1, 2n-2k+1).  The two closed forms below reach
-the same numbers without any triangle recurrence, once as a plain finite
-difference of an odd power and once as a binomial/Stirling sum.
+columns: A008957(n, k) = T(2n-1, 2n-2k+1).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
-from .exact import exact_div
+from .exact import _StepTable, exact_div
 
 __all__ = ["stirling2", "a008957_fd", "a008957_stirling"]
 
 
-class _Stirling2Table:
-    """Grow-on-demand table of S2(n, k), filled bottom-up row by row."""
-
-    def __init__(self) -> None:
-        self._rows: list[list[int]] = [[1]]
-        self._lock = threading.Lock()
-
-    def value(self, n: int, k: int) -> int:
-        if k > n:
-            return 0
-        if n >= len(self._rows):
-            with self._lock:
-                while len(self._rows) <= n:
-                    prev = self._rows[-1]
-                    m = len(self._rows)
-                    row = [0] * (m + 1)
-                    row[m] = 1
-                    for j in range(1, m):
-                        row[j] = j * prev[j] + prev[j - 1]
-                    self._rows.append(row)
-        return self._rows[n][k]
+def _next_s2_row(prev: list[int]) -> list[int]:
+    """Row m = len(prev) of S2 from row m - 1 (row 0 is [1])."""
+    m = len(prev)
+    row = [0] * (m + 1)
+    row[m] = 1
+    for j in range(1, m):
+        row[j] = j * prev[j] + prev[j - 1]
+    return row
 
 
-_TABLE = _Stirling2Table()
+_TABLE = _StepTable(_next_s2_row)
 
 
 def stirling2(n: int, k: int) -> int:
     """S2(n, k): partitions of an n-set into k nonempty blocks; 0 for k > n."""
     if n < 0 or k < 0:
         raise ValueError("stirling2 needs n, k >= 0")
-    return _TABLE.value(n, k)
+    if k > n:
+        return 0
+    return _TABLE.row(n)[k]
 
 
-def a008957_fd(n: int, k: int) -> int:
-    """A008957(n, k) as a normalized finite difference of j^(2n-1).
-
-    Computes the (2n-2k+1)-th forward difference of the (2n-1)-th power at
-    the offset that centers the window, divided exactly by (2n-2k+1)!.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    order = 2 * n - 2 * k + 1
+def _odd_slot_difference(power: int, order: int) -> int:
+    """T(power, order) for odd order, as the centred difference
+    sum_i (-1)^(order-i) C(order, i) (i + shift)^power over order!,
+    with shift = -(order - 1)/2."""
+    shift = -(order // 2)
     total = 0
     for i in range(order + 1):
-        term = math.comb(order, i) * (i - n + k) ** (2 * n - 1)
+        term = math.comb(order, i) * (i + shift) ** power
         total += term if (order - i) % 2 == 0 else -term
     return exact_div(total, math.factorial(order))
 
 
-def a008957_stirling(n: int, k: int) -> int:
-    """A008957(n, k) as a binomial sum against Stirling numbers.
+def _odd_slot_stirling(power: int, order: int) -> int:
+    """T(power, order) for odd order, as the binomial sum
+    sum_j C(power, j) shift^(power-j) S2(j, order),
+    with shift = -(order - 1)/2 and 0^0 = 1 at order 1."""
+    shift = -(order // 2)
+    return sum(
+        math.comb(power, j) * shift ** (power - j) * stirling2(j, order)
+        for j in range(power + 1)
+    )
 
-    sum_{j=0}^{2n-1} C(2n-1, j) * (k-n)^(2n-1-j) * S2(j, 2n-2k+1),
-    with the 0^0 = 1 convention covering the k = n boundary.
-    """
+
+def a008957_fd(n: int, k: int) -> int:
+    """A008957(n, k) = T(2n-1, 2n-2k+1) as a normalized finite difference
+    of j^(2n-1)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    upper = 2 * n - 1
-    target = 2 * n - 2 * k + 1
-    base = k - n
-    return sum(
-        math.comb(upper, j) * base ** (upper - j) * stirling2(j, target)
-        for j in range(upper + 1)
-    )
+    return _odd_slot_difference(2 * n - 1, 2 * n - 2 * k + 1)
+
+
+def a008957_stirling(n: int, k: int) -> int:
+    """A008957(n, k) = T(2n-1, 2n-2k+1) as a binomial sum against Stirling numbers."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    return _odd_slot_stirling(2 * n - 1, 2 * n - 2 * k + 1)

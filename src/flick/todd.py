@@ -6,6 +6,9 @@ Three independent ways to the same numbers:
   * a normalized central finite difference of the power j^(2n+k-2),
   * a binomial sum against Stirling numbers of the second kind.
 
+The last two are index maps, power 2n+k-2 and order 2n-1, over the odd-slot
+kernels of `flick.stirling`, which they share with A008957.
+
 The array is the odd-column sub-grid of the flickering triangle,
 Todd(m, k) = T(2m + k - 2, 2m - 1), and its odd columns factor as
 Todd(n, 2m+1) = T_m(n) * P_m(n) / D_m with an explicit base polynomial T_m
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 from .exact import CheckResult, exact_div
 from .series import PolyZ
-from .stirling import stirling2
+from .stirling import _odd_slot_difference, _odd_slot_stirling
 from .triangle import triangle_entry_recurrence
 
 __all__ = [
@@ -84,10 +87,14 @@ class ToddGrid:
         return self._rows[n - 1][k - 1]
 
     def row(self, n: int, count: int) -> list[int]:
+        if n < 1 or count < 0:
+            raise ValueError(f"need n >= 1 and count >= 0, got n={n}, count={count}")
         self.ensure(n, count)
         return self._rows[n - 1][:count]
 
     def column(self, k: int, count: int) -> list[int]:
+        if k < 1 or count < 0:
+            raise ValueError(f"need k >= 1 and count >= 0, got k={k}, count={count}")
         self.ensure(count, k)
         return [self._rows[n][k - 1] for n in range(count)]
 
@@ -101,31 +108,19 @@ def todd_recurrence(n: int, k: int) -> int:
 
 
 def todd_finite_difference(n: int, k: int) -> int:
-    """Todd(n, k) as the (2n-1)-th difference of j^(2n+k-2), centered, over (2n-1)!."""
+    """Todd(n, k) = T(2n+k-2, 2n-1): the centred (2n-1)-th difference of
+    j^(2n+k-2) over (2n-1)!."""
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
-    order = 2 * n - 1
-    exponent = 2 * n + k - 2
-    total = 0
-    for i in range(order + 1):
-        term = math.comb(order, i) * (i - n + 1) ** exponent
-        total += term if (order - i) % 2 == 0 else -term
-    return exact_div(total, math.factorial(order))
+    return _odd_slot_difference(2 * n + k - 2, 2 * n - 1)
 
 
 def todd_stirling(n: int, k: int) -> int:
-    """Todd(n, k) as sum_j C(2n+k-2, j) (1-n)^(2n+k-2-j) S2(j, 2n-1).
-
-    0^0 = 1 so row n = 1 collapses to the single j = 2n+k-2 term.
-    """
+    """Todd(n, k) = T(2n+k-2, 2n-1) as
+    sum_j C(2n+k-2, j) (1-n)^(2n+k-2-j) S2(j, 2n-1)."""
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
-    exponent = 2 * n + k - 2
-    base = 1 - n
-    return sum(
-        math.comb(exponent, j) * base ** (exponent - j) * stirling2(j, 2 * n - 1)
-        for j in range(exponent + 1)
-    )
+    return _odd_slot_stirling(2 * n + k - 2, 2 * n - 1)
 
 
 def todd_row(n: int, count: int) -> list[int]:

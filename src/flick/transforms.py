@@ -77,11 +77,11 @@ def antidiagonal_sums(count: int) -> IntSeq:
     if count < 1:
         raise ValueError("count must be >= 1")
     values = []
+    previous = 0  # the grade-(n-1) sum, carried over from the step before
     for n in range(1, count + 1):
-        total = _grade_sum(n)
-        if n % 2 == 0:
-            total += _grade_sum(n - 1)
-        values.append(total)
+        grade = _grade_sum(n)
+        values.append(grade + previous if n % 2 == 0 else grade)
+        previous = grade
     return IntSeq(values, offset=1)
 
 

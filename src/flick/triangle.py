@@ -22,10 +22,9 @@ two rather than assuming them.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
-from .exact import exact_div
+from .exact import _StepTable, exact_div
 
 __all__ = [
     "DiffTable",
@@ -61,9 +60,13 @@ class FlickerTriangle:
     rows: list[list[int]]
 
     def entry(self, n: int, k: int) -> int:
+        if not 1 <= k <= n <= len(self.rows):
+            raise ValueError(f"need 1 <= k <= n <= {len(self.rows)}, got n={n}, k={k}")
         return self.rows[n - 1][k - 1]
 
     def row(self, n: int) -> list[int]:
+        if not 1 <= n <= len(self.rows):
+            raise ValueError(f"need 1 <= n <= {len(self.rows)}, got n={n}")
         return list(self.rows[n - 1])
 
     def __len__(self) -> int:
@@ -122,27 +125,8 @@ def _next_row(prev: list[int]) -> list[int]:
     return row
 
 
-class _RowTable:
-    """Grow-on-demand rows 1..len of the triangle, filled by _next_row.
-
-    Extension is serialized by a lock; rows are only ever appended, so reads
-    of already-filled rows are safe to run concurrently.
-    """
-
-    def __init__(self) -> None:
-        self._rows: list[list[int]] = []
-        self._lock = threading.Lock()
-
-    def row(self, n: int) -> list[int]:
-        """Row n (n >= 1), shared with the table: callers must not mutate it."""
-        if n > len(self._rows):
-            with self._lock:
-                while len(self._rows) < n:
-                    self._rows.append(_next_row(self._rows[-1] if self._rows else []))
-        return self._rows[n - 1]
-
-
-_TABLE = _RowTable()
+# Row i of the table is row n = i + 1 of the triangle.
+_TABLE = _StepTable(_next_row)
 
 
 def triangle_entry_recurrence(n: int, k: int) -> int:
@@ -153,7 +137,7 @@ def triangle_entry_recurrence(n: int, k: int) -> int:
     """
     if not 1 <= k <= n:
         return 0
-    return _TABLE.row(n)[k - 1]
+    return _TABLE.row(n - 1)[k - 1]
 
 
 def triangle_rows(count: int, method: str = "recurrence") -> FlickerTriangle:

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flick.stirling import a008957_fd, a008957_stirling, stirling2
+from flick.stirling import (
+    _odd_slot_difference,
+    _odd_slot_stirling,
+    a008957_fd,
+    a008957_stirling,
+    stirling2,
+)
 from flick.triangle import triangle_entry_recurrence
 
 
@@ -75,3 +83,13 @@ def test_a008957_rejects_out_of_range():
         a008957_fd(3, 4)
     with pytest.raises(ValueError):
         a008957_stirling(0, 0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_odd_slot_kernels_match_the_recurrence(data):
+    power = data.draw(st.integers(1, 150), label="power")
+    order = 2 * data.draw(st.integers(0, (power - 1) // 2), label="half") + 1
+    by_difference = _odd_slot_difference(power, order)
+    assert by_difference == _odd_slot_stirling(power, order)
+    assert by_difference == triangle_entry_recurrence(power, order)

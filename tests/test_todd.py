@@ -127,6 +127,17 @@ def test_grid_lazy_extension():
     assert grid.column(3, 4) == [1, 5, 14, 30]
 
 
+def test_grid_rejects_out_of_range_lines():
+    # Warm, so that a wrapped negative index would reach a filled row or column.
+    grid = ToddGrid()
+    grid.ensure(6, 6)
+    for line, count in ((0, 4), (-1, 3), (2, -1)):
+        with pytest.raises(ValueError):
+            grid.row(line, count)
+        with pytest.raises(ValueError):
+            grid.column(line, count)
+
+
 def test_subgrid_identity():
     assert todd_recurrence(2, 1) == triangle_entry_recurrence(3, 3) == 1
     assert todd_recurrence(2, 6) == triangle_entry_recurrence(8, 3) == 42

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from flick import transforms
 from flick.transforms import (
     IntSeq,
     antidiagonal_sums,
@@ -53,6 +54,17 @@ def test_antidiagonal_sums_prefix():
 
 def test_antidiagonal_equals_row_sums():
     assert antidiagonal_sums(40) == row_sums(40)
+
+
+def test_antidiagonal_sums_one_grade_sum_per_term(monkeypatch):
+    # Even terms reuse the grade-(n-1) sum of the step before.
+    grades = []
+    grade_sum = transforms._grade_sum
+    monkeypatch.setattr(
+        transforms, "_grade_sum", lambda grade: grades.append(grade) or grade_sum(grade)
+    )
+    assert antidiagonal_sums(40) == row_sums(40)
+    assert grades == list(range(1, 41))
 
 
 def test_count_validation():

@@ -6,9 +6,10 @@ import threading
 
 import pytest
 
-from flick.exact import InexactDivisionError, exact_div
+from flick.exact import InexactDivisionError, _StepTable, exact_div
+from flick.stirling import _next_s2_row
 from flick.triangle import (
-    _RowTable,
+    _next_row,
     build_diff_table,
     triangle_entry_recurrence,
     triangle_row_extraction,
@@ -109,39 +110,52 @@ def test_recurrence_out_of_range_is_zero():
     assert triangle_entry_recurrence(0, 0) == 0
 
 
-def _race_to_extend(targets: list[int], expected: list[list[int]]) -> None:
-    table = _RowTable()
+def _race_to_extend(step, targets: list[int], expected: list[list[int]]) -> None:
+    table = _StepTable(step)
     start = threading.Barrier(len(targets))
     errors: list[Exception] = []
 
-    def reader(n: int) -> None:
+    def reader(i: int) -> None:
         try:
             start.wait(timeout=30)
-            assert table.row(n) == expected[n - 1]
+            assert table.row(i) == expected[i]
         except Exception as exc:  # surfaced on the main thread below
             errors.append(exc)
 
-    threads = [threading.Thread(target=reader, args=(n,)) for n in targets]
+    threads = [threading.Thread(target=reader, args=(i,)) for i in targets]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
-    assert [table.row(n) for n in range(1, len(expected) + 1)] == expected
+    assert [table.row(i) for i in range(len(expected))] == expected
 
 
 def test_row_table_under_concurrent_extension():
     # Threads released together race to extend a fresh table; a row appended
-    # twice or out of order would misalign every later row.
-    expected = triangle_rows(200).rows
+    # twice or out of order would misalign every later row.  Both step
+    # functions the package builds tables from are raced: triangle rows and
+    # Stirling rows, each against a sequential fill.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(10):
-            _race_to_extend([200, 150, 7, 90, 200, 60, 1, 180], expected)
+        for step in (_next_row, _next_s2_row):
+            expected = [step([])]
+            while len(expected) < 200:
+                expected.append(step(expected[-1]))
+            for _ in range(10):
+                _race_to_extend(step, [199, 149, 6, 89, 199, 59, 0, 179], expected)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_row_table_rejects_negative_index():
+    table = _StepTable(_next_row)
+    table.row(5)
+    for bad in (-1, -6):
+        with pytest.raises(ValueError):
+            table.row(bad)
 
 
 def test_rows_first_ten():
@@ -194,3 +208,14 @@ def test_triangle_accessors():
     assert len(triangle) == 6
     assert triangle.entry(6, 3) == 10
     assert triangle.row(4) == [1, 1, 2, 1]
+
+
+def test_triangle_accessors_reject_out_of_range():
+    # Zero and negative indices must not wrap around to entries of other rows.
+    triangle = triangle_rows(4)
+    for n, k in ((0, 1), (2, 0), (4, -1), (-1, 1), (3, 4), (5, 1)):
+        with pytest.raises(ValueError):
+            triangle.entry(n, k)
+    for n in (0, -1, 5):
+        with pytest.raises(ValueError):
+            triangle.row(n)
