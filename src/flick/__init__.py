@@ -7,13 +7,7 @@ them all.  The package re-exports the names the demos and the README use;
 every other name is imported from its submodule.
 """
 
-from .powersum import (
-    bench_power_sum,
-    fallshift,
-    integral_basis,
-    power_sum,
-    power_sum_naive,
-)
+from .powersum import fallshift, integral_basis, power_sum, power_sum_naive
 from .series import bell_closed_form, bell_ogf_coefficients
 from .todd import (
     base_poly,
@@ -43,7 +37,6 @@ __all__ = [
     "bell_closed_form",
     "bell_ogf_coefficients",
     "bell_with_leading_one",
-    "bench_power_sum",
     "binomial_transform",
     "build_diff_table",
     "column_transition_check",

@@ -1,10 +1,10 @@
-"""Command-line surface: compute, verify, export and benchmark.
+"""Command-line surface: compute, verify and export.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error (an arithmetic fault such as an inexact division, a recursion limit, an
 operating-system error, or a cache shard that does not parse).  All numeric
 output is full decimal, of any length, and every command is deterministic for
-fixed arguments except the timing figures of `bench`.
+fixed arguments.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .bfile import format_bfile, parse_bfile
-from .powersum import bench_power_sum, power_sum, power_sum_naive
+from .powersum import power_sum, power_sum_naive
 from .series import expand_rational, row_gf_full, row_gf_odd
 from .todd import fit_column_polynomial, todd_column, todd_row
 from .transforms import kernel, row_sums
@@ -221,21 +221,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    _require_positive(m=args.m, n=args.n, reps=args.reps)
-    report = bench_power_sum(args.m, args.n, args.reps)
-    print(f"value: {report.value}")
-    print(f"precompute_seconds: {report.precompute_seconds:.6f}")
-    print(f"flick_median_seconds: {report.flick_median_seconds:.6f}")
-    print(f"naive_median_seconds: {report.naive_median_seconds:.6f}")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flick",
         description=(
-            "Exact generators, cross-checks and benchmarks for the flickering "
+            "Exact generators and cross-checks for the flickering "
             "central factorial triangle, its companion array and integer-only "
             "power sums."
         ),
@@ -304,12 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cap the per-check bounds (default: full documented bounds)",
     )
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bench", help="time the basis method against the naive loop")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--reps", type=int, default=5)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -12,24 +12,24 @@ integral_basis(n, k+1) is a product of k+1 consecutive integers, hence
 divisible by (k+1)!, so every term of the sum is an integer -- no Bernoulli
 fractions anywhere.
 
-Each I_{k+1}(n) is I_k(n) times one more factor, so an evaluation costs O(m)
-small-by-big multiplies on a product that grows to about m * digits(n)
-digits, plus O(m) coefficient products T(m, k) * I_{k+1}(n), each divided
-exactly by k+1.  The cost therefore grows with the digit count of n as well
-as with m.  The coefficients are row m of the triangle, filled once per
-process by O(m^2) bigint steps and kept for later calls.
+Each I_{k+1}(n) is I_k(n) times one more factor, so the sum nests by
+Horner's rule once every term is scaled by L = lcm(1, ..., m+1).  An
+evaluation then costs O(m) small-by-big multiplies on one accumulator that
+grows to about m * digits(n) digits, followed by one exact division by L; it
+never multiplies a coefficient by a basis product.  The cost therefore grows
+with the digit count of n as well as with m.  The coefficients are row m of
+the triangle, filled once per process by O(m^2) bigint steps and kept for
+later calls.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
-import time
 from dataclasses import dataclass
 from typing import Iterable
 
 from .exact import CheckResult, exact_div
-from .triangle import triangle_entry_recurrence
+from .triangle import _TABLE, triangle_entry_recurrence
 
 __all__ = [
     "fallshift",
@@ -39,8 +39,6 @@ __all__ = [
     "PowerSumResult",
     "power_sum",
     "power_sum_naive",
-    "BenchReport",
-    "bench_power_sum",
 ]
 
 
@@ -94,6 +92,12 @@ def lemma_difference_check(k: int, j_range: Iterable[int]) -> CheckResult:
     return CheckResult(True)
 
 
+def _basis_factor(n: int, k: int) -> int:
+    """The factor with I_{k+1}(n) = I_k(n) * factor: the next one outward from
+    n, the top one n + (k+1)/2 for odd k and the bottom one n - k/2 for even k."""
+    return n + (k + 1) // 2 if k % 2 else n - k // 2
+
+
 @dataclass(frozen=True)
 class PowerSumResult:
     """S_m(n) along with the per-term breakdown (k, T(m,k), I_{k+1}(n))."""
@@ -101,28 +105,52 @@ class PowerSumResult:
     m: int
     n: int
     value: int
-    terms: list[tuple[int, int, int]]
+
+    @property
+    def terms(self) -> list[tuple[int, int, int]]:
+        """(k, T(m, k), I_{k+1}(n)) for every nonzero T(m, k), k ascending.
+
+        Rebuilt on each access by the forward loop; every term T(m, k) *
+        I_{k+1}(n) goes through exact_div by k + 1, so it raises unless each
+        term of the sum is an integer.
+        """
+        terms: list[tuple[int, int, int]] = []
+        basis = self.n  # I_1(n)
+        for k, coeff in enumerate(_TABLE.row(self.m - 1), start=1):
+            basis *= _basis_factor(self.n, k)
+            if coeff:
+                exact_div(coeff * basis, k + 1)
+                terms.append((k, coeff, basis))
+        return terms
 
 
 def power_sum(m: int, n: int) -> PowerSumResult:
-    """S_m(n) = sum over k of T(m, k) * I_{k+1}(n) / (k+1), each term exact."""
+    """S_m(n) = sum over k of T(m, k) * I_{k+1}(n) / (k+1), by Horner's rule.
+
+    With g_k = I_{k+1}(n) / I_k(n), L = lcm(1, ..., m+1) and the integers
+    a_k = T(m, k) * L / (k+1),
+
+        L * S_m(n) = n * g_1 * (a_1 + g_2 * (a_2 + ... + g_m * a_m)),
+
+    evaluated from the inside out on one accumulator.  A zero a_k only folds
+    g_k into the next multiply, so odd m, whose even slots are zero, makes
+    one pass over the accumulator per two factors.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = 0
-    terms: list[tuple[int, int, int]] = []
-    basis = n  # I_1(n)
-    for k in range(1, m + 1):
-        # I_{k+1}(n) = I_k(n) times the next factor outward from n: the top
-        # one, n + (k+1)/2, for odd k and the bottom one, n - k/2, for even k.
-        basis *= n + (k + 1) // 2 if k % 2 else n - k // 2
-        coeff = triangle_entry_recurrence(m, k)
-        if coeff == 0:
-            continue
-        total += exact_div(coeff * basis, k + 1)
-        terms.append((k, coeff, basis))
-    return PowerSumResult(m=m, n=n, value=total, terms=terms)
+    row = _TABLE.row(m - 1)
+    scale = math.lcm(*range(1, m + 2))
+    acc = 0
+    pending = 1  # product of the factors g_k since the last nonzero coefficient
+    for k in range(m, 0, -1):
+        coeff = row[k - 1]
+        if coeff:
+            acc = acc * pending + coeff * (scale // (k + 1))
+            pending = 1
+        pending *= _basis_factor(n, k)
+    return PowerSumResult(m=m, n=n, value=exact_div(acc * (n * pending), scale))
 
 
 def power_sum_naive(m: int, n: int) -> int:
@@ -132,54 +160,3 @@ def power_sum_naive(m: int, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return sum(i**m for i in range(1, n + 1))
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    m: int
-    n: int
-    reps: int
-    value: int
-    precompute_seconds: float
-    flick_median_seconds: float
-    naive_median_seconds: float
-
-
-def bench_power_sum(m: int, n: int, reps: int) -> BenchReport:
-    """Median wall-clock of the basis method vs the naive loop over `reps` runs.
-
-    The triangle-row precompute is timed once, separately, so the medians
-    compare pure evaluation cost.  Runs are sequential to keep timings honest.
-    """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    t0 = time.perf_counter()
-    triangle_entry_recurrence(m, 1)  # fills the coefficient rows up to m
-    precompute = time.perf_counter() - t0
-
-    flick_times = []
-    value = 0
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        value = power_sum(m, n).value
-        flick_times.append(time.perf_counter() - t0)
-
-    naive_times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        check = power_sum_naive(m, n)
-        naive_times.append(time.perf_counter() - t0)
-        if check != value:
-            raise ArithmeticError(
-                f"basis and naive methods disagree at m={m}, n={n}"
-            )
-
-    return BenchReport(
-        m=m,
-        n=n,
-        reps=reps,
-        value=value,
-        precompute_seconds=precompute,
-        flick_median_seconds=statistics.median(flick_times),
-        naive_median_seconds=statistics.median(naive_times),
-    )

@@ -92,6 +92,15 @@ class ToddGrid:
         self.ensure(n, count)
         return self._rows[n - 1][:count]
 
+    def antidiagonal(self, grade: int) -> list[int]:
+        """Todd(m, grade + 2 - 2m) for m = 1 .. (grade + 1) // 2: the entries
+        whose source power 2m + c - 2 is `grade`, read after one ensure."""
+        if grade < 1:
+            raise ValueError(f"need grade >= 1, got {grade}")
+        self.ensure((grade + 1) // 2, grade)
+        rows = self._rows[: (grade + 1) // 2]
+        return [row[grade + 1 - 2 * m] for m, row in enumerate(rows, start=1)]
+
     def column(self, k: int, count: int) -> list[int]:
         if k < 1 or count < 0:
             raise ValueError(f"need k >= 1 and count >= 0, got k={k}, count={count}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .todd import todd_recurrence
+from .todd import _GRID
 from .triangle import _next_row
 
 __all__ = [
@@ -57,12 +57,7 @@ def row_sums(count: int) -> IntSeq:
 def _grade_sum(grade: int) -> int:
     # Sum of Todd(m, c) over the grade line 2m + c - 2 = grade: exactly the
     # selection-path values extracted from the difference table of j^grade.
-    total = 0
-    m = 1
-    while 2 * m - 1 <= grade:
-        total += todd_recurrence(m, grade + 2 - 2 * m)
-        m += 1
-    return total
+    return sum(_GRID.antidiagonal(grade))
 
 
 def antidiagonal_sums(count: int) -> IntSeq:

@@ -178,8 +178,9 @@ def test_criterion_09_faulhaber_engine():
     ok = True
     for m in range(1, 31):
         for n in list(range(1, 101)) + [10**3, 10**4]:
-            result = power_sum(m, n)  # raises on any inexact per-term division
+            result = power_sum(m, n)  # raises if the division by lcm(1..m+1) is inexact
             ok = ok and result.value == power_sum_naive(m, n)
+            # .terms runs the per-term exact divisions by k + 1 on access
             ok = ok and all(
                 (coeff * basis) % (k + 1) == 0 for k, coeff, basis in result.terms
             )

@@ -158,17 +158,6 @@ def test_verify_small_bounds(capsys):
     assert lines[-1].endswith("checks passed")
 
 
-def test_bench_output_shape(capsys):
-    code, out, _ = run_cli(capsys, "bench", "6", "500", "--reps", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("value: ")
-    assert int(lines[0].split(": ")[1]) > 0
-    assert lines[1].startswith("precompute_seconds: ")
-    assert lines[2].startswith("flick_median_seconds: ")
-    assert lines[3].startswith("naive_median_seconds: ")
-
-
 def test_deterministic_output(capsys):
     first = run_cli(capsys, "bell", "--count", "15", "--format", "json")
     second = run_cli(capsys, "bell", "--count", "15", "--format", "json")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -11,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flick
+import flick.powersum
 from faulhaber import faulhaber_sum
+from flick.exact import InexactDivisionError
 from flick.powersum import (
-    bench_power_sum,
+    PowerSumResult,
     expand_power_check,
     fallshift,
     integral_basis,
@@ -21,6 +24,7 @@ from flick.powersum import (
     power_sum,
     power_sum_naive,
 )
+from flick.triangle import triangle_entry_recurrence
 
 
 class TestBases:
@@ -171,6 +175,68 @@ class TestPowerSum:
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) == faulhaber_sum(1500, 10)
 
+    # n by digit count first, so long n are drawn as often as short ones.
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        m=st.integers(1, 600),
+        n=st.integers(1, 200).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)),
+    )
+    def test_value_equals_the_terms_and_faulhaber(self, m, n):
+        result = power_sum(m, n)
+        rebuilt = sum(coeff * basis // (k + 1) for k, coeff, basis in result.terms)
+        assert result.value == rebuilt == faulhaber_sum(m, n)
+
+    def test_first_three_rows_term_by_term(self):
+        for n in (1, 2, 9, 10**30):
+            i2, i3, i4 = (integral_basis(n, j) for j in (2, 3, 4))
+            assert power_sum(1, n).terms == [(1, 1, i2)]
+            assert power_sum(2, n).terms == [(1, 1, i2), (2, 1, i3)]
+            assert power_sum(3, n).terms == [(1, 1, i2), (3, 1, i4)]
+            assert power_sum(1, n).value == i2 // 2
+            assert power_sum(2, n).value == i2 // 2 + i3 // 3
+            assert power_sum(3, n).value == i2 // 2 + i4 // 4
+
+    def test_adjacent_odd_and_even_rows_at_n_one(self):
+        # At n = 1 every factor n - k/2 with k >= 2 is zero or negative, so
+        # I_{k+1}(1) = 0 for k >= 2 and only the k = 1 term survives.
+        for m in (40, 41, 298, 299, 300, 301):
+            result = power_sum(m, 1)
+            assert result.value == 1
+            assert result.terms[0] == (1, 1, 2)
+            assert all(basis == 0 for _, _, basis in result.terms[1:])
+            assert [k for k, _, _ in result.terms] == (
+                list(range(1, m + 1, 2)) if m % 2 else list(range(1, m + 1))
+            )
+
+    def test_terms_match_the_forward_loop(self):
+        # The tuples of the forward loop over integral_basis(n, k + 1), and the
+        # SHA-256 of repr((m, n, value, terms)) over the grid, recorded from
+        # the earlier engine that built every term on the value path.
+        digest = hashlib.sha256()
+        for m in range(1, 61):
+            for n in (9, 10**30):
+                result = power_sum(m, n)
+                expected = [
+                    (k, triangle_entry_recurrence(m, k), integral_basis(n, k + 1))
+                    for k in range(1, m + 1)
+                    if triangle_entry_recurrence(m, k)
+                ]
+                assert result.terms == expected
+                digest.update(repr((m, n, result.value, result.terms)).encode())
+        assert digest.hexdigest() == (
+            "ed4faf64eea714e6f52c452e0c428cad0b1e38a798729edde49f968827089978"
+        )
+
+    def test_a_remainder_raises(self, monkeypatch):
+        # With every factor n + 1 the "bases" are no longer runs of consecutive
+        # integers, so the final division by lcm(1..m+1) leaves a remainder,
+        # and so does the k = 3 term of the breakdown.
+        monkeypatch.setattr(flick.powersum, "_basis_factor", lambda n, k: n + 1)
+        with pytest.raises(InexactDivisionError):
+            power_sum(3, 2)
+        with pytest.raises(InexactDivisionError):
+            PowerSumResult(m=3, n=2, value=9).terms
+
     def test_odd_row_skips_even_slots(self):
         assert [k for k, _, _ in power_sum(7, 5).terms] == [1, 3, 5, 7]
 
@@ -188,17 +254,3 @@ class TestPowerSum:
             power_sum_naive(0, 5)
         with pytest.raises(ValueError):
             power_sum_naive(5, 0)
-
-
-class TestBench:
-    def test_report_shape(self):
-        report = bench_power_sum(5, 2000, reps=3)
-        assert report.value == power_sum_naive(5, 2000)
-        assert report.reps == 3
-        assert report.precompute_seconds >= 0.0
-        assert report.flick_median_seconds > 0.0
-        assert report.naive_median_seconds > 0.0
-
-    def test_rejects_zero_reps(self):
-        with pytest.raises(ValueError):
-            bench_power_sum(2, 10, reps=0)

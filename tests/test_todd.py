@@ -138,6 +138,18 @@ def test_grid_rejects_out_of_range_lines():
             grid.column(line, count)
 
 
+def test_grid_antidiagonal_reads_the_grade_line():
+    # A fresh grid, so that each grade has to extend it first.
+    grid = ToddGrid()
+    for grade in range(1, 41):
+        assert grid.antidiagonal(grade) == [
+            todd_recurrence(m, grade + 2 - 2 * m) for m in range(1, (grade + 1) // 2 + 1)
+        ]
+    for grade in (0, -3):
+        with pytest.raises(ValueError):
+            grid.antidiagonal(grade)
+
+
 def test_subgrid_identity():
     assert todd_recurrence(2, 1) == triangle_entry_recurrence(3, 3) == 1
     assert todd_recurrence(2, 6) == triangle_entry_recurrence(8, 3) == 42
