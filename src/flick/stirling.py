@@ -4,9 +4,11 @@ Every odd-column entry of the flickering triangle, T(power, order) with order
 odd, has two closed forms that need no triangle recurrence: the order-th
 difference of j^power centred at the half-integer offset, divided exactly by
 order!, and a binomial sum against Stirling numbers.  Both start their window
-at the shift -(order - 1)/2.  `_odd_slot_difference` and `_odd_slot_stirling`
-are the only copies of the two; the closed forms here and in `flick.todd` are
-index maps over them.
+at the shift -(order - 1)/2, so the difference only meets the bases
+-(order - 1)/2 .. (order + 1)/2, and the binomial sum needs only the terms
+j = order .. power, since S2(j, order) vanishes for j < order.
+`_odd_slot_difference` and `_odd_slot_stirling` are the only copies of the
+two; the closed forms here and in `flick.todd` are index maps over them.
 
 A008957(n, k) -- the central factorial numbers of the second kind laid out as
 a triangle -- coincides with the flickering triangle along odd rows and
@@ -47,24 +49,32 @@ def stirling2(n: int, k: int) -> int:
 def _odd_slot_difference(power: int, order: int) -> int:
     """T(power, order) for odd order, as the centred difference
     sum_i (-1)^(order-i) C(order, i) (i + shift)^power over order!,
-    with shift = -(order - 1)/2."""
-    shift = -(order // 2)
-    total = 0
+    with shift = -(order - 1)/2; each |i + shift|^power is raised once."""
+    half = order // 2
+    weights = [0] * (half + 2)
+    binom = 1
     for i in range(order + 1):
-        term = math.comb(order, i) * (i + shift) ** power
-        total += term if (order - i) % 2 == 0 else -term
+        base = i - half
+        # (-a)^power = (-1)^power a^power
+        negative = (order - i + (power if base < 0 else 0)) % 2 == 1
+        weights[abs(base)] += -binom if negative else binom
+        binom = binom * (order - i) // (i + 1)
+    total = sum(w * a**power for a, w in enumerate(weights))
     return exact_div(total, math.factorial(order))
 
 
 def _odd_slot_stirling(power: int, order: int) -> int:
     """T(power, order) for odd order, as the binomial sum
     sum_j C(power, j) shift^(power-j) S2(j, order),
-    with shift = -(order - 1)/2 and 0^0 = 1 at order 1."""
+    with shift = -(order - 1)/2 and 0^0 = 1 at order 1, by Horner's rule in
+    the shift over j = order .. power (at order 1 it keeps j = power alone)."""
     shift = -(order // 2)
-    return sum(
-        math.comb(power, j) * shift ** (power - j) * stirling2(j, order)
-        for j in range(power + 1)
-    )
+    binom = math.comb(power, order)
+    total = 0
+    for j in range(order, power + 1):
+        total = total * shift + binom * stirling2(j, order)
+        binom = binom * (power - j) // (j + 1)
+    return total
 
 
 def a008957_fd(n: int, k: int) -> int:

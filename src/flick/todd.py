@@ -245,7 +245,8 @@ def fit_column_polynomial(m: int, degree_cap: int | None = None) -> ColumnFactor
             samples.append((n, Fraction(todd_recurrence(n, column), denom)))
         n += 1
 
-    level = [v for _, v in samples]
+    scale = math.lcm(*(v.denominator for _, v in samples))
+    level = [v.numerator * (scale // v.denominator) for _, v in samples]
     degree = None
     for d in range(degree_cap + 2):
         if all(v == 0 for v in level) and len(level) >= 3:
@@ -259,11 +260,6 @@ def fit_column_polynomial(m: int, degree_cap: int | None = None) -> ColumnFactor
 
     start = samples[0][0]
     u_coeffs = _newton_interpolate(start, [v for _, v in samples[: degree + 1]])
-    for point, expected in samples:
-        got = sum(c * point**i for i, c in enumerate(u_coeffs))
-        if got != expected:
-            raise ArithmeticError(f"interpolant misses sample at n={point}")
-
     denominator = math.lcm(*(c.denominator for c in u_coeffs)) if u_coeffs else 1
     numerator = [int(c * denominator) for c in u_coeffs]
     content = math.gcd(*(abs(c) for c in numerator)) if numerator else 0
@@ -271,6 +267,12 @@ def fit_column_polynomial(m: int, degree_cap: int | None = None) -> ColumnFactor
     if shared > 1:
         numerator = [c // shared for c in numerator]
         denominator //= shared
+    u_numerator = PolyZ(numerator)
+    # Every sample, not just the interpolated ones, must satisfy
+    # P(n) / D = U(n); checked cross-multiplied in integers.
+    for point, u in samples:
+        if u_numerator(point) * u.denominator != denominator * u.numerator:
+            raise ArithmeticError(f"interpolant misses sample at n={point}")
     return ColumnFactorization(
-        m=m, base=base, u_numerator=PolyZ(numerator), denominator=denominator
+        m=m, base=base, u_numerator=u_numerator, denominator=denominator
     )

@@ -21,7 +21,6 @@ two rather than assuming them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .exact import _StepTable, exact_div
@@ -76,8 +75,11 @@ class FlickerTriangle:
 def build_diff_table(power: int) -> DiffTable:
     """Difference pyramid of j^power, levels 0..power.
 
-    The window j = -(power+2) .. power+2 is the smallest symmetric one for
-    which every central slot up to order `power` exists.
+    The window j = -(power+2) .. power+2 is a padded one: the smallest
+    symmetric window for which every central slot up to order `power` exists
+    is j = -ceil(power/2) .. ceil(power/2).  The padding is kept for the
+    level lengths the triangle tour demo prints and for the difference-table
+    check in `flick.verify`.
     """
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
@@ -94,12 +96,22 @@ def triangle_row_extraction(n: int) -> list[int]:
 
     For odd k the central slot sits at the half-integer offset of the
     (even-length) difference row, for even k at the integer offset of the
-    (odd-length) row; both are the floor-midpoint of the level.
+    (odd-length) row; both are the floor-midpoint of the level.  On any
+    symmetric window that slot of level k covers j = -floor(k/2) .. ceil(k/2),
+    so the narrowest window j = -ceil(n/2) .. ceil(n/2) yields every slot up
+    to k = n.  It is differenced one level at a time, and only the current
+    level is kept.
     """
-    table = build_diff_table(n)
+    if n < 1:
+        raise ValueError(f"power must be >= 1, got {n}")
+    half = (n + 1) // 2
+    level = [j**n for j in range(-half, half + 1)]
     row = []
+    factorial = 1
     for k in range(1, n + 1):
-        row.append(exact_div(abs(table.central_slot(k)), math.factorial(k)))
+        level = [b - a for a, b in zip(level, level[1:])]
+        factorial *= k
+        row.append(exact_div(abs(level[len(level) // 2]), factorial))
     return row
 
 

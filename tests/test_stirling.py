@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flick.stirling import (
@@ -85,11 +85,24 @@ def test_a008957_rejects_out_of_range():
         a008957_stirling(0, 0)
 
 
+# (power, order) with odd order <= power.
+odd_slots = st.integers(1, 400).flatmap(
+    lambda power: st.tuples(
+        st.just(power), st.integers(0, (power - 1) // 2).map(lambda h: 2 * h + 1)
+    )
+)
+
+
 @settings(max_examples=60, deadline=None, database=None)
-@given(data=st.data())
-def test_odd_slot_kernels_match_the_recurrence(data):
-    power = data.draw(st.integers(1, 150), label="power")
-    order = 2 * data.draw(st.integers(0, (power - 1) // 2), label="half") + 1
+@given(slot=odd_slots)
+@example(slot=(1, 1))
+@example(slot=(2, 1))  # order 1: the shift is 0, only 0^0 survives
+@example(slot=(400, 1))
+@example(slot=(7, 7))  # order = power: a single Stirling term
+@example(slot=(399, 399))
+@example(slot=(400, 399))
+def test_odd_slot_kernels_match_the_recurrence(slot):
+    power, order = slot
     by_difference = _odd_slot_difference(power, order)
     assert by_difference == _odd_slot_stirling(power, order)
     assert by_difference == triangle_entry_recurrence(power, order)

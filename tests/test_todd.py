@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flick.series import PolyZ
 from flick.todd import (
     ColumnFactorization,
     ToddGrid,
+    _newton_interpolate,
     base_poly,
     column_transition_check,
     fit_column_polynomial,
@@ -93,6 +98,12 @@ def test_three_methods_agree():
                 == todd_finite_difference(n, k)
                 == todd_stirling(n, k)
             )
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(1, 60), k=st.integers(1, 60))
+def test_three_methods_agree_on_random_cells(n, k):
+    assert todd_recurrence(n, k) == todd_finite_difference(n, k) == todd_stirling(n, k)
 
 
 def test_rows_and_columns():
@@ -208,3 +219,31 @@ def test_fit_degree_cap_failure_is_loud():
     # An artificially tiny cap must fail fast rather than return a bogus fit.
     with pytest.raises(ArithmeticError):
         fit_column_polynomial(4, degree_cap=1)
+
+
+def test_fit_rejects_an_interpolant_that_misses_a_sample(monkeypatch):
+    nodes = []
+
+    def shift_constant(start, values):
+        coeffs = _newton_interpolate(start, values)
+        coeffs[0] += Fraction(1, 7)
+        return coeffs
+
+    def bend_beyond_nodes(start, values):
+        # Add (x - start)(x - start - 1)...: zero on every interpolation node,
+        # so only the samples past them can expose it.
+        nodes.append(len(values))
+        bend = PolyZ([1])
+        for i in range(len(values)):
+            bend = bend * PolyZ([-(start + i), 1])
+        coeffs = _newton_interpolate(start, values)
+        coeffs += [Fraction(0)] * (len(bend.coeffs) - len(coeffs))
+        return [c + b for c, b in zip(coeffs, bend.coeffs)]
+
+    monkeypatch.setattr("flick.todd._newton_interpolate", shift_constant)
+    with pytest.raises(ArithmeticError, match="interpolant misses sample at n=1$"):
+        fit_column_polynomial(3)
+    monkeypatch.setattr("flick.todd._newton_interpolate", bend_beyond_nodes)
+    with pytest.raises(ArithmeticError, match="interpolant misses sample at n=") as err:
+        fit_column_polynomial(3)
+    assert str(err.value).endswith(f"n={nodes[0] + 1}")

@@ -5,6 +5,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flick.exact import InexactDivisionError, _StepTable, exact_div
 from flick.stirling import _next_s2_row
@@ -91,6 +93,18 @@ def test_extraction_known_rows():
 def test_extraction_matches_brute_force_oracle():
     for n in range(1, 13):
         assert triangle_row_extraction(n) == brute_force_row(n)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=st.integers(1, 300))
+@example(n=1)
+@example(n=2)
+@example(n=3)
+@example(n=298)  # adjacent even and odd rows: the narrow window
+@example(n=299)  # j = -ceil(n/2) .. ceil(n/2) differs in parity
+def test_extraction_matches_the_recurrence(n):
+    expected = [triangle_entry_recurrence(n, k) for k in range(1, n + 1)]
+    assert triangle_row_extraction(n) == expected
 
 
 def test_recurrence_entries():
