@@ -2,22 +2,22 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error (an arithmetic fault such as an inexact division, a recursion limit, an
-operating-system error, or a cache shard that does not parse).  All numeric
-output is full decimal, of any length, and every command is deterministic for
-fixed arguments.
+operating-system error, or running out of memory).  All numeric output is full
+decimal, of any length, and every command is deterministic for fixed
+arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Iterator
 
-from .bfile import format_bfile, parse_bfile
+from .bfile import format_bfile
+# Unused here: bench/layers.py times b-file parsing under this name.
+from .bfile import parse_bfile  # noqa: F401
 from .powersum import power_sum, power_sum_naive
 from .series import expand_rational, row_gf_full, row_gf_odd
 from .todd import fit_column_polynomial, todd_column, todd_row
@@ -29,17 +29,9 @@ __all__ = ["main"]
 
 FORMATS = ("table", "csv", "json", "bfile")
 
-# CPython's int/str conversion limit as the CLI found it (0: no limit).  Input
-# (arguments, cache shards) is parsed under it; only output is exempt.
-_INPUT_INT_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
 
 class UsageError(Exception):
     """Bad argument values; reported on stderr with exit code 2."""
-
-
-class InternalError(Exception):
-    """A fault of the program or its environment; reported with exit code 3."""
 
 
 def _sequence_output(name: str, values: list[int], offset: int, fmt: str) -> str:
@@ -103,39 +95,9 @@ def _require_positive(**named: int) -> None:
             raise UsageError(f"{label} must be >= 1, got {value}")
 
 
-def _triangle_rows_cached(count: int, method: str) -> list[list[int]]:
-    cache_dir = os.environ.get("FLICK_CACHE_DIR")
-    if not cache_dir:
-        return triangle_rows(count, method=method).rows
-
-    root = Path(cache_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    shard = lambda n: root / f"triangle_row_{n:06d}.txt"
-    fresh = None
-    if any(not shard(n).exists() for n in range(1, count + 1)):
-        fresh = triangle_rows(count, method=method).rows
-    rows = []
-    # Shards are input read back on later runs: they are written and parsed
-    # under the limit the process started with, so a shard is never written
-    # that could not be read back.
-    with _int_str_digits(_INPUT_INT_STR_DIGITS):
-        for n in range(1, count + 1):
-            path = shard(n)
-            if path.exists():
-                try:
-                    _, values = parse_bfile(path.read_text())
-                except ValueError as exc:
-                    raise InternalError(f"corrupt cache shard {path}: {exc}") from exc
-                rows.append(values)
-            else:
-                rows.append(fresh[n - 1])
-                path.write_text(format_bfile(fresh[n - 1], 1))
-    return rows
-
-
 def _cmd_triangle(args: argparse.Namespace) -> int:
     _require_positive(rows=args.rows)
-    rows = _triangle_rows_cached(args.rows, args.method)
+    rows = triangle_rows(args.rows, method=args.method).rows
     print(_grid_output("triangle", rows, 1, args.format))
     return 0
 
@@ -303,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # Results are printed in full however long they are; arguments were
-        # parsed above under the default limit, cache shards keep it too.
+        # parsed above under the default limit.
         with _int_str_digits(0):
             return args.func(args)
     except UsageError as exc:
@@ -312,8 +274,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InternalError, ArithmeticError, RecursionError, OSError) as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
+    except (ArithmeticError, RecursionError, OSError, MemoryError) as exc:
+        print(f"error: internal: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

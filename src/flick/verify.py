@@ -2,8 +2,9 @@
 each runnable standalone and reported as one pass/fail line by the CLI.
 
 Reference prefixes (the array corner, the named column prefixes, the Bell
-prefix, the transform kernels) are frozen here as data; everything else is
-checked by recomputation along an independent route.
+prefix, the transform kernels) are frozen here as data, and this is their only
+copy: the tests import them from here.  Everything else is checked by
+recomputation along an independent route.
 """
 
 from __future__ import annotations
@@ -52,7 +53,14 @@ from .transforms import (
 )
 from .triangle import build_diff_table, triangle_entry_recurrence, triangle_rows
 
-__all__ = ["PropertyReport", "run_suite", "REFERENCE_TABLE", "REFERENCE_COLUMNS"]
+__all__ = [
+    "PropertyReport",
+    "run_suite",
+    "REFERENCE_TABLE",
+    "REFERENCE_COLUMNS",
+    "REFERENCE_BELL",
+    "REFERENCE_KERNELS",
+]
 
 # Todd(n, k) for n = 1..5, k = 1..8.
 REFERENCE_TABLE = [

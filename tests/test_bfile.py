@@ -1,8 +1,23 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flick.bfile import format_bfile, parse_bfile
+from flick.cli import _int_str_digits
+
+DIGIT_LIMIT = 10**4300  # the first integer past CPython's default 4300 digits
+
+# Values of 4301 to 6000 digits, either sign, built without converting strings.
+HUGE = st.builds(
+    lambda digits, low, sign: sign * (10 ** (digits - 1) + low),
+    st.integers(4301, 6000),
+    st.integers(0, 10**20),
+    st.sampled_from([1, -1]),
+)
 
 
 def test_format_basic():
@@ -18,6 +33,24 @@ def test_round_trip():
     ]
     for values, offset in cases:
         assert parse_bfile(format_bfile(values, offset)) == (offset, values)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    offset=st.integers(-1000, 10**6),
+    values=st.lists(st.one_of(st.integers(-(10**40), 10**40), HUGE), min_size=1),
+)
+def test_round_trip_random(offset, values):
+    # Lifted the way the CLI lifts the limit to print its results.
+    with _int_str_digits(0):
+        text = format_bfile(values, offset)
+        assert parse_bfile(text) == (offset, values)
+    if any(abs(v) >= DIGIT_LIMIT for v in values):
+        with _int_str_digits(sys.int_info.default_max_str_digits):
+            with pytest.raises(ValueError):
+                format_bfile(values, offset)
+            with pytest.raises(ValueError):
+                parse_bfile(text)
 
 
 def test_parse_tolerates_comments_and_blanks():

@@ -9,6 +9,7 @@ from faulhaber import faulhaber_sum
 from flick.bfile import parse_bfile
 from flick.cli import main
 from flick.exact import InexactDivisionError
+from flick.verify import REFERENCE_BELL, REFERENCE_KERNELS, REFERENCE_TABLE
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -59,13 +60,7 @@ def test_todd_matches_reference_corner(capsys):
     code, out, _ = run_cli(capsys, "todd", "--rows", "5", "--cols", "8", "--format", "csv")
     assert code == 0
     rows = [[int(v) for v in line.split(",")] for line in out.splitlines()]
-    assert rows == [
-        [1, 1, 1, 1, 1, 1, 1, 1],
-        [1, 2, 5, 10, 21, 42, 85, 170],
-        [1, 3, 14, 42, 147, 441, 1408, 4224],
-        [1, 4, 30, 120, 627, 2508, 11440, 45760],
-        [1, 5, 55, 275, 2002, 10010, 61490, 307450],
-    ]
+    assert rows == REFERENCE_TABLE
 
 
 def test_row_and_col(capsys):
@@ -108,24 +103,24 @@ def test_powersum_prints_results_over_4300_digits(capsys):
 def test_bell_sequence(capsys):
     code, out, _ = run_cli(capsys, "bell", "--count", "10")
     assert code == 0
-    assert out.strip() == "1,2,2,5,7,21,37,126,264,1001"
+    assert out.strip() == ",".join(map(str, REFERENCE_BELL))
 
 
 def test_bell_kernel(capsys):
     code, out, _ = run_cli(capsys, "bell", "--kernels", "4", "--count", "7")
     assert code == 0
-    assert out.strip() == "1,-3,10,-38,165,-797,4125"
+    assert out.strip() == ",".join(map(str, REFERENCE_KERNELS[4]))
 
 
 def test_bell_bfile_offsets(capsys):
     code, out, _ = run_cli(capsys, "bell", "--count", "4", "--format", "bfile")
     assert code == 0
-    assert parse_bfile(out) == (1, [1, 2, 2, 5])
+    assert parse_bfile(out) == (1, REFERENCE_BELL[:4])
     code, out, _ = run_cli(
         capsys, "bell", "--kernels", "2", "--count", "4", "--format", "bfile"
     )
     assert code == 0
-    assert parse_bfile(out) == (0, [1, -1, 2, -6])
+    assert parse_bfile(out) == (0, REFERENCE_KERNELS[2][:4])
 
 
 def test_gf_full_and_odd(capsys):
@@ -183,59 +178,21 @@ def test_argparse_rejects_unknown_format(capsys):
     assert excinfo.value.code == 2
 
 
-def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FLICK_CACHE_DIR", str(tmp_path))
-    code, first, _ = run_cli(capsys, "triangle", "--rows", "6", "--format", "csv")
-    assert code == 0
-    shards = sorted(p.name for p in tmp_path.iterdir())
-    assert shards == [f"triangle_row_{n:06d}.txt" for n in range(1, 7)]
-    offset, values = parse_bfile((tmp_path / "triangle_row_000006.txt").read_text())
-    assert offset == 1
-    assert values == [1, 1, 10, 5, 3, 1]
-    # second run must reuse the shards and emit identical output
-    code, second, _ = run_cli(capsys, "triangle", "--rows", "6", "--format", "csv")
-    assert code == 0
-    assert first == second
-
-
-def test_cache_dir_shards_are_read_back(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FLICK_CACHE_DIR", str(tmp_path))
-    run_cli(capsys, "triangle", "--rows", "3", "--format", "csv")
-    # doctor a shard; the next run must reflect it, proving the read path
-    (tmp_path / "triangle_row_000002.txt").write_text("1 1\n2 99\n")
-    code, out, _ = run_cli(capsys, "triangle", "--rows", "3", "--format", "csv")
-    assert code == 0
-    assert out.splitlines()[1] == "1,99"
-
-
-def test_no_cache_without_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("FLICK_CACHE_DIR", raising=False)
-    code, _, _ = run_cli(capsys, "triangle", "--rows", "4")
-    assert code == 0
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     import flick.cli
 
-    def inexact(count):
-        raise InexactDivisionError("7 is not divisible by 2")
+    cases = [
+        (InexactDivisionError("7 is not divisible by 2"), "7 is not divisible by 2"),
+        # Raised, not provoked by allocating; its message is empty.
+        (MemoryError(), "MemoryError"),
+    ]
+    for exc, message in cases:
 
-    monkeypatch.setattr(flick.cli, "row_sums", inexact)
-    code, out, err = run_cli(capsys, "bell", "--count", "5")
-    assert code == 3
-    assert out == ""
-    assert err == "error: internal: 7 is not divisible by 2\n"
+        def fault(count, exc=exc):
+            raise exc
 
-
-def test_corrupt_cache_shard_exits_3_naming_it(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FLICK_CACHE_DIR", str(tmp_path))
-    run_cli(capsys, "triangle", "--rows", "3", "--format", "csv")
-    shard = tmp_path / "triangle_row_000002.txt"
-    shard.write_text("1 1\n2 x\n")
-    code, out, err = run_cli(capsys, "triangle", "--rows", "3", "--format", "csv")
-    assert code == 3
-    assert out == ""
-    assert err.startswith(f"error: internal: corrupt cache shard {shard}: ")
-    assert len(err.splitlines()) == 1
-    assert "Traceback" not in err
+        monkeypatch.setattr(flick.cli, "row_sums", fault)
+        code, out, err = run_cli(capsys, "bell", "--count", "5")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: internal: {message}\n"

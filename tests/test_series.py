@@ -19,8 +19,8 @@ from flick.series import (
 )
 from flick.todd import todd_recurrence, todd_row
 from flick.transforms import row_sums
+from flick.verify import REFERENCE_BELL
 
-BELL_PREFIX = [1, 2, 2, 5, 7, 21, 37, 126, 264, 1001]
 BELL_300 = row_sums(300).values
 
 
@@ -141,7 +141,7 @@ class TestBellOgf:
         assert bell_ogf_coefficients(2) == [1]
 
     def test_reference_prefix(self):
-        assert bell_ogf_coefficients(11) == BELL_PREFIX
+        assert bell_ogf_coefficients(11) == REFERENCE_BELL
 
     def test_matches_row_sums_to_24(self):
         assert bell_ogf_coefficients(25) == row_sums(24).values
@@ -167,7 +167,7 @@ class TestBellClosedForm:
         assert bell_closed_form(2) == 2
 
     def test_reference_prefix(self):
-        assert [bell_closed_form(n) for n in range(1, 11)] == BELL_PREFIX
+        assert [bell_closed_form(n) for n in range(1, 11)] == REFERENCE_BELL
 
     def test_matches_row_sums_to_20(self):
         sums = row_sums(20).values

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flick import transforms
 from flick.transforms import (
@@ -15,16 +17,7 @@ from flick.transforms import (
     row_sums,
 )
 from flick.triangle import triangle_row_extraction, triangle_rows
-
-BELL_PREFIX = [1, 2, 2, 5, 7, 21, 37, 126, 264, 1001]
-
-KERNELS = {
-    0: [1, 1, 2, 2, 5, 7, 21],
-    2: [1, -1, 2, -6, 21, -75, 269],
-    4: [1, -3, 10, -38, 165, -797, 4125],
-    6: [1, -5, 26, -142, 821, -5039, 32709],
-    8: [1, -7, 50, -366, 2757, -21441, 172421],
-}
+from flick.verify import REFERENCE_BELL, REFERENCE_KERNELS
 
 
 def test_row_sums_against_extraction():
@@ -40,15 +33,15 @@ def test_row_sums_equal_sums_of_triangle_rows():
 
 
 def test_row_sums_prefix():
-    assert row_sums(6).values == [1, 2, 2, 5, 7, 21]
-    assert row_sums(8).values[7] == 126
-    assert row_sums(10).values == BELL_PREFIX
+    assert row_sums(6).values == REFERENCE_BELL[:6]
+    assert row_sums(8).values[7] == REFERENCE_BELL[7]
+    assert row_sums(10).values == REFERENCE_BELL
 
 
 def test_antidiagonal_sums_prefix():
     seq = antidiagonal_sums(10)
     assert seq.offset == 1
-    assert seq.values == BELL_PREFIX
+    assert seq.values == REFERENCE_BELL
     assert antidiagonal_sums(1).values == [1]
 
 
@@ -87,21 +80,21 @@ def test_inverse_round_trip_random():
 
 
 def test_double_inverse_of_bell_prefix():
-    start = IntSeq([1, 1, 2, 2, 5, 7, 21], offset=0)
+    start = IntSeq(REFERENCE_KERNELS[0], offset=0)
     once = inverse_binomial_transform(start)
     twice = inverse_binomial_transform(once)
-    assert twice.values == [1, -1, 2, -6, 21, -75, 269]
+    assert twice.values == REFERENCE_KERNELS[2]
 
 
 def test_bell_with_leading_one():
     seq = bell_with_leading_one(8)
     assert seq.offset == 0
-    assert seq.values == [1, 1, 2, 2, 5, 7, 21, 37]
+    assert seq.values == [1] + REFERENCE_BELL[:7]
     assert bell_with_leading_one(1).values == [1]
 
 
 def test_kernels_match_references():
-    for q, expected in KERNELS.items():
+    for q, expected in REFERENCE_KERNELS.items():
         seq = kernel(q, 7)
         assert seq.values == expected
         assert seq.offset == 0
@@ -121,6 +114,15 @@ def test_kernel_equals_iterated_inverse_transforms():
     for q in range(0, 9):
         assert kernel(q, 40) == seq
         seq = inverse_binomial_transform(seq)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(q=st.integers(0, 16), count=st.integers(1, 30))
+def test_kernel_equals_iterated_inverse_transforms_at_random(q, count):
+    seq = bell_with_leading_one(count)
+    for _ in range(q):
+        seq = inverse_binomial_transform(seq)
+    assert kernel(q, count) == seq
 
 
 def test_kernel_sign_alternation():
