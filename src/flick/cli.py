@@ -166,20 +166,18 @@ def _cmd_fitcol(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n is not None and args.max_n < 1:
-        raise UsageError(f"--max-n must be >= 1, got {args.max_n}")
-    reports = run_suite(args.max_n)
+    results = run_suite()
     failures = 0
-    for report in reports:
-        if report.ok:
-            print(f"PASS  {report.name}")
+    for name, result in results:
+        if result:
+            print(f"PASS  {name}")
         else:
             failures += 1
-            print(f"FAIL  {report.name}: {report.detail}")
+            print(f"FAIL  {name}: {result.counterexample}")
     if failures:
-        print(f"{failures} of {len(reports)} checks failed")
+        print(f"{failures} of {len(results)} checks failed")
         return 1
-    print(f"all {len(reports)} checks passed")
+    print(f"all {len(results)} checks passed")
     return 0
 
 
@@ -249,12 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fitcol)
 
     p = sub.add_parser("verify", help="run the full property suite")
-    p.add_argument(
-        "--max-n",
-        type=int,
-        default=None,
-        help="cap the per-check bounds (default: full documented bounds)",
-    )
     p.set_defaults(func=_cmd_verify)
 
     return parser

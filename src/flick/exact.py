@@ -31,7 +31,8 @@ class CheckResult:
     """Outcome of an exhaustive identity check.
 
     Truthy iff the check passed; on failure `counterexample` holds the first
-    offending index tuple (plus the mismatching values).
+    offending index tuple (plus the mismatching values), led by a short label
+    where a check can fail in more than one way.
     """
 
     ok: bool

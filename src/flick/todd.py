@@ -146,10 +146,10 @@ def todd_column(k: int, count: int) -> list[int]:
     return _GRID.column(k, count)
 
 
-def subgrid_check(max_m: int, max_k: int) -> CheckResult:
+def subgrid_check(m_max: int, k_max: int) -> CheckResult:
     """Verify Todd(m, k) = T(2m+k-2, 2m-1) on the given rectangle."""
-    for m in range(1, max_m + 1):
-        for k in range(1, max_k + 1):
+    for m in range(1, m_max + 1):
+        for k in range(1, k_max + 1):
             todd = todd_recurrence(m, k)
             tri = triangle_entry_recurrence(2 * m + k - 2, 2 * m - 1)
             if todd != tri:
@@ -157,10 +157,10 @@ def subgrid_check(max_m: int, max_k: int) -> CheckResult:
     return CheckResult(True)
 
 
-def column_transition_check(max_n: int, max_m: int) -> CheckResult:
+def column_transition_check(n_max: int, m_max: int) -> CheckResult:
     """Verify Todd(n, 2m+1) - Todd(n-1, 2m+1) = n^2 * Todd(n, 2m-1)."""
-    for m in range(1, max_m + 1):
-        for n in range(2, max_n + 1):
+    for m in range(1, m_max + 1):
+        for n in range(2, n_max + 1):
             lhs = todd_recurrence(n, 2 * m + 1) - todd_recurrence(n - 1, 2 * m + 1)
             rhs = n * n * todd_recurrence(n, 2 * m - 1)
             if lhs != rhs:

@@ -38,7 +38,11 @@ class IntSeq:
     def __eq__(self, other) -> bool:
         if isinstance(other, IntSeq):
             return self.values == other.values and self.offset == other.offset
-        return self.values == list(other)
+        try:
+            items = list(other)
+        except TypeError:  # not iterable
+            return NotImplemented
+        return self.values == items
 
 
 def row_sums(count: int) -> IntSeq:

@@ -1,5 +1,9 @@
 """The full cross-check suite: every structural identity the package claims,
-each runnable standalone and reported as one pass/fail line by the CLI.
+each a named check in `_CHECKS`, reported as one pass/fail line by the CLI.
+
+Every check runs at fixed bounds and returns a `CheckResult`; a failed one
+carries the first counterexample as a tuple of indices and values, led by a
+short label where the check can fail in more than one way.
 
 Reference prefixes (the array corner, the named column prefixes, the Bell
 prefix, the transform kernels) are frozen here as data, and this is their only
@@ -9,13 +13,14 @@ recomputation along an independent route.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bfile import format_bfile, parse_bfile
+from .exact import CheckResult, exact_div
 from .powersum import (
     expand_power_check,
     integral_basis,
@@ -54,7 +59,6 @@ from .transforms import (
 from .triangle import build_diff_table, triangle_entry_recurrence, triangle_rows
 
 __all__ = [
-    "PropertyReport",
     "run_suite",
     "REFERENCE_TABLE",
     "REFERENCE_COLUMNS",
@@ -95,269 +99,202 @@ REFERENCE_KERNELS = {
     8: [1, -7, 50, -366, 2757, -21441, 172421],
 }
 
-
-@dataclass(frozen=True)
-class PropertyReport:
-    name: str
-    ok: bool
-    detail: str = ""
+Check = Callable[[], CheckResult]
 
 
-def _bound(default: int, max_n: int | None) -> int:
-    if max_n is None:
-        return default
-    return max(1, min(default, max_n))
+def _cases(generate: Callable[[], Iterator[tuple]]) -> Check:
+    """Turn a generator of cases (..., got, want) into a check.
+
+    The check passes unless some case has got != want; the first such case is
+    its counterexample.  Cases are drawn lazily, so it stops there.
+    """
+
+    @functools.wraps(generate)
+    def check() -> CheckResult:
+        for case in generate():
+            if case[-2] != case[-1]:
+                return CheckResult(False, case)
+        return CheckResult(True)
+
+    return check
 
 
-def _fail(name: str, detail: str) -> PropertyReport:
-    return PropertyReport(name=name, ok=False, detail=detail)
+@_cases
+def _check_triangle_methods():
+    by_extraction = triangle_rows(60, method="extraction")
+    by_recurrence = triangle_rows(60, method="recurrence")
+    for n in range(1, 61):
+        yield n, by_extraction.row(n), by_recurrence.row(n)
 
 
-def _ok(name: str) -> PropertyReport:
-    return PropertyReport(name=name, ok=True)
-
-
-def _check_triangle_methods(max_n: int | None) -> PropertyReport:
-    name = "triangle: extraction == recurrence"
-    limit = _bound(60, max_n)
-    by_extraction = triangle_rows(limit, method="extraction")
-    by_recurrence = triangle_rows(limit, method="recurrence")
-    for n in range(1, limit + 1):
-        if by_extraction.row(n) != by_recurrence.row(n):
-            return _fail(name, f"row {n} differs")
-    return _ok(name)
-
-
-def _check_triangle_integrality(max_n: int | None) -> PropertyReport:
-    name = "triangle: recurrence divisions exact, entries nonnegative"
-    limit = _bound(200, max_n)
+def _check_triangle_integrality() -> CheckResult:
     try:
-        triangle = triangle_rows(limit, method="recurrence")
+        triangle = triangle_rows(200, method="recurrence")
     except ArithmeticError as exc:
-        return _fail(name, str(exc))
-    for n in range(1, limit + 1):
-        for value in triangle.row(n):
+        return CheckResult(False, ("inexact", str(exc)))
+    for n in range(1, 201):
+        for k, value in enumerate(triangle.row(n), start=1):
             if value < 0:
-                return _fail(name, f"negative entry in row {n}")
-    return _ok(name)
+                return CheckResult(False, ("negative", n, k, value))
+    return CheckResult(True)
 
 
-def _check_zero_pattern(max_n: int | None) -> PropertyReport:
-    name = "triangle: zeros exactly at even k, odd n, 1 < k < n"
-    limit = _bound(200, max_n)
-    triangle = triangle_rows(limit, method="recurrence")
-    for n in range(1, limit + 1):
-        row = triangle.row(n)
-        for k in range(1, n + 1):
-            expected_zero = k % 2 == 0 and n % 2 == 1 and 1 < k < n
-            if (row[k - 1] == 0) != expected_zero:
-                return _fail(name, f"pattern broken at ({n}, {k})")
-    return _ok(name)
+@_cases
+def _check_zero_pattern():
+    # Case (n, k, T(n, k) == 0, whether T(n, k) should be 0).
+    triangle = triangle_rows(200, method="recurrence")
+    for n in range(1, 201):
+        for k, value in enumerate(triangle.row(n), start=1):
+            yield n, k, value == 0, k % 2 == 0 and n % 2 == 1 and 1 < k < n
 
 
-def _check_collapse(max_n: int | None) -> PropertyReport:
-    name = "triangle: T(n, k) = T(n-1, k-1) for even n, even k"
-    limit = _bound(200, max_n)
-    triangle = triangle_rows(limit, method="recurrence")
-    for n in range(4, limit + 1, 2):
+@_cases
+def _check_collapse():
+    triangle = triangle_rows(200, method="recurrence")
+    for n in range(4, 201, 2):
         for k in range(2, n, 2):
-            if 1 < k < n and triangle.entry(n, k) != triangle.entry(n - 1, k - 1):
-                return _fail(name, f"collapse fails at ({n}, {k})")
-    return _ok(name)
+            yield n, k, triangle.entry(n, k), triangle.entry(n - 1, k - 1)
 
 
-def _check_power_expansion(max_n: int | None) -> PropertyReport:
-    name = "triangle: n^m expands over the fallshift basis"
-    limit = _bound(25, max_n)
-    for m in range(1, limit + 1):
+def _check_power_expansion() -> CheckResult:
+    for m in range(1, 26):
         result = expand_power_check(m, range(-10, 11))
         if not result:
-            return _fail(name, f"counterexample {result.counterexample}")
-    return _ok(name)
+            return result
+    return CheckResult(True)
 
 
-def _check_diff_table(max_n: int | None) -> PropertyReport:
-    name = "difference table: level lengths and recurrence"
-    limit = _bound(20, max_n)
-    for power in range(1, limit + 1):
+@_cases
+def _check_diff_table():
+    for power in range(1, 21):
         table = build_diff_table(power)
-        if table.levels[0] != table.values:
-            return _fail(name, f"level 0 mismatch at power {power}")
+        yield "level 0", power, table.levels[0], table.values
         for k in range(1, power + 1):
             level, prev = table.levels[k], table.levels[k - 1]
-            if len(level) != len(table.values) - k:
-                return _fail(name, f"level {k} length at power {power}")
-            if any(level[i] != prev[i + 1] - prev[i] for i in range(len(level))):
-                return _fail(name, f"level {k} values at power {power}")
-    return _ok(name)
+            yield "length", power, k, len(level), len(table.values) - k
+            for i, value in enumerate(level):
+                yield "value", power, k, i, value, prev[i + 1] - prev[i]
 
 
-def _check_todd_methods(max_n: int | None) -> PropertyReport:
-    name = "todd: recurrence == finite difference == stirling sum"
-    limit = _bound(8, max_n)
-    for n in range(1, limit + 1):
+@_cases
+def _check_todd_methods():
+    for n in range(1, 9):
         for k in range(1, 11):
             r = todd_recurrence(n, k)
-            fd = todd_finite_difference(n, k)
-            st = todd_stirling(n, k)
-            if not r == fd == st:
-                return _fail(name, f"({n}, {k}): {r}, {fd}, {st}")
-    return _ok(name)
+            yield "finite difference", n, k, todd_finite_difference(n, k), r
+            yield "stirling sum", n, k, todd_stirling(n, k), r
 
 
-def _check_subgrid(max_n: int | None) -> PropertyReport:
-    name = "todd: sub-grid of the triangle at odd columns"
-    result = subgrid_check(_bound(8, max_n), 10)
-    if not result:
-        return _fail(name, f"counterexample {result.counterexample}")
-    return _ok(name)
+def _check_subgrid() -> CheckResult:
+    return subgrid_check(8, 10)
 
 
-def _check_transition(max_n: int | None) -> PropertyReport:
-    name = "todd: column transition Todd(n,2m+1) - Todd(n-1,2m+1) = n^2 Todd(n,2m-1)"
-    result = column_transition_check(_bound(30, max_n), 6)
-    if not result:
-        return _fail(name, f"counterexample {result.counterexample}")
-    return _ok(name)
+def _check_transition() -> CheckResult:
+    return column_transition_check(30, 6)
 
 
-def _check_reference_rows(max_n: int | None) -> PropertyReport:
-    name = "todd: rows 1-5 x columns 1-8 match the reference corner"
+@_cases
+def _check_reference_rows():
     for n, expected in enumerate(REFERENCE_TABLE, start=1):
-        if todd_row(n, 8) != expected:
-            return _fail(name, f"row {n} differs")
-    return _ok(name)
+        yield n, todd_row(n, 8), expected
 
 
-def _check_reference_columns(max_n: int | None) -> PropertyReport:
-    name = "todd: columns 1-9 match the reference prefixes"
+@_cases
+def _check_reference_columns():
     for k, expected in REFERENCE_COLUMNS.items():
-        if todd_column(k, 5) != expected:
-            return _fail(name, f"column {k} differs")
-    return _ok(name)
+        yield k, todd_column(k, 5), expected
 
 
-def _check_fit_exact(max_n: int | None) -> PropertyReport:
-    name = "columns: fitted (P_1, D_1) = (1, 6) and (P_2, D_2) = (5n-1, 360)"
-    fit1 = fit_column_polynomial(1)
-    if list(fit1.u_numerator.coeffs) != [1] or fit1.denominator != 6:
-        return _fail(name, f"m=1 gave {fit1.u_numerator.coeffs}/{fit1.denominator}")
-    fit2 = fit_column_polynomial(2)
-    if list(fit2.u_numerator.coeffs) != [-1, 5] or fit2.denominator != 360:
-        return _fail(name, f"m=2 gave {fit2.u_numerator.coeffs}/{fit2.denominator}")
-    return _ok(name)
-
-
-def _check_fit_heldout(max_n: int | None) -> PropertyReport:
-    name = "columns: fit reproduces 20 held-out values for m <= 5"
-    for m in range(1, _bound(5, max_n) + 1):
+@_cases
+def _check_fit_exact():
+    for m, expected in ((1, ([1], 6)), (2, ([-1, 5], 360))):
         fit = fit_column_polynomial(m)
-        fresh_start = 4 * m + 6
-        for n in range(fresh_start, fresh_start + 20):
-            if fit.todd_value(n) != todd_recurrence(n, 2 * m + 1):
-                return _fail(name, f"m={m} misses at n={n}")
-    return _ok(name)
+        yield m, (list(fit.u_numerator.coeffs), fit.denominator), expected
 
 
-def _check_fit_residual(max_n: int | None) -> PropertyReport:
-    name = "columns: factorizations satisfy the transition recurrence"
+@_cases
+def _check_fit_heldout():
+    # 20 values of each column past the samples its fit was made from.
+    for m in range(1, 6):
+        fit = fit_column_polynomial(m)
+        for n in range(4 * m + 6, 4 * m + 26):
+            yield m, n, fit.todd_value(n), todd_recurrence(n, 2 * m + 1)
+
+
+@_cases
+def _check_fit_residual():
     # Seed with column 1 (all ones); each fitted column must then satisfy
     # fit_m(n) - fit_m(n-1) = n^2 * fit_{m-1}(n).
     prev_value: Callable[[int], int] = lambda n: 1
-    for m in range(1, _bound(5, max_n) + 1):
+    for m in range(1, 6):
         fit = fit_column_polynomial(m)
         for n in range(2, 12):
             lhs = fit.todd_value(n) - fit.todd_value(n - 1)
-            rhs = n * n * prev_value(n)
-            if lhs != rhs:
-                return _fail(name, f"residual fails at m={m}, n={n}")
+            yield m, n, lhs, n * n * prev_value(n)
         prev_value = fit.todd_value
-    return _ok(name)
 
 
-def _check_gf_full(max_n: int | None) -> PropertyReport:
-    name = "genfunc: full-row series match todd rows"
-    for n in range(1, _bound(6, max_n) + 1):
-        coeffs = expand_rational(row_gf_full(n), 21)
-        if coeffs[0] != 0 or coeffs[1:] != todd_row(n, 20):
-            return _fail(name, f"row {n} differs")
-    return _ok(name)
+@_cases
+def _check_gf_full():
+    for n in range(1, 7):
+        yield n, expand_rational(row_gf_full(n), 21), [0] + todd_row(n, 20)
 
 
-def _check_gf_odd(max_n: int | None) -> PropertyReport:
-    name = "genfunc: odd-slot series match odd todd columns"
-    for n in range(1, _bound(6, max_n) + 1):
-        coeffs = expand_rational(row_gf_odd(n), 11)
-        expected = [todd_recurrence(n, 2 * k - 1) for k in range(1, 11)]
-        if coeffs[0] != 0 or coeffs[1:] != expected:
-            return _fail(name, f"row {n} differs")
-    return _ok(name)
+@_cases
+def _check_gf_odd():
+    for n in range(1, 7):
+        expected = [0] + [todd_recurrence(n, 2 * k - 1) for k in range(1, 11)]
+        yield n, expand_rational(row_gf_odd(n), 11), expected
 
 
-def _check_bell_routes(max_n: int | None) -> PropertyReport:
-    name = "bell: row sums == anti-diagonals == OGF == closed form"
-    limit = _bound(20, max_n)
-    ogf_limit = _bound(24, max_n)
-    sums = row_sums(ogf_limit)
-    if antidiagonal_sums(ogf_limit) != sums:
-        return _fail(name, "anti-diagonal route differs")
-    if bell_ogf_coefficients(ogf_limit + 1) != sums.values:
-        return _fail(name, "OGF route differs")
-    for n in range(1, limit + 1):
-        if bell_closed_form(n) != sums.values[n - 1]:
-            return _fail(name, f"closed form differs at n={n}")
-    return _ok(name)
+@_cases
+def _check_bell_routes():
+    sums = row_sums(24)
+    yield "anti-diagonals", antidiagonal_sums(24), sums
+    yield "ogf", bell_ogf_coefficients(25), sums.values
+    for n in range(1, 21):
+        yield "closed form", n, bell_closed_form(n), sums.values[n - 1]
 
 
-def _check_bell_prefix(max_n: int | None) -> PropertyReport:
-    name = "bell: first ten terms match the reference list"
-    if row_sums(10).values != REFERENCE_BELL:
-        return _fail(name, f"got {row_sums(10).values}")
-    return _ok(name)
+@_cases
+def _check_bell_prefix():
+    yield row_sums(10).values, REFERENCE_BELL
 
 
-def _check_binomial_inverse(max_n: int | None) -> PropertyReport:
-    name = "transforms: inverse(transform) is the identity"
+@_cases
+def _check_binomial_inverse():
     rng = random.Random(395021)
-    limit = _bound(30, max_n)
-    for length in range(1, limit + 1):
+    for length in range(1, 31):
         seq = IntSeq([rng.randint(-50, 50) for _ in range(length)], offset=0)
-        if inverse_binomial_transform(binomial_transform(seq)) != seq:
-            return _fail(name, f"round trip fails at length {length}")
-        if binomial_transform(inverse_binomial_transform(seq)) != seq:
-            return _fail(name, f"reverse round trip fails at length {length}")
-    return _ok(name)
+        there_and_back = inverse_binomial_transform(binomial_transform(seq))
+        yield "inverse", length, there_and_back, seq
+        back_and_there = binomial_transform(inverse_binomial_transform(seq))
+        yield "forward", length, back_and_there, seq
 
 
-def _check_kernels(max_n: int | None) -> PropertyReport:
-    name = "transforms: kernels match references and transform back"
+@_cases
+def _check_kernels():
     for q, expected in REFERENCE_KERNELS.items():
-        got = kernel(q, 7)
-        if got.values != expected:
-            return _fail(name, f"kernel q={q} gave {got.values}")
+        yield "reference", q, kernel(q, 7).values, expected
     reference = bell_with_leading_one(12)
     for q in (2, 4, 6, 8):
         iterated = reference
         for _ in range(q):
             iterated = inverse_binomial_transform(iterated)
         seq = kernel(q, 12)
-        if seq != iterated:
-            return _fail(name, f"kernel q={q} differs from {q} inverse transforms")
+        yield "inverse", q, seq, iterated
         for _ in range(q):
             seq = binomial_transform(seq)
-        if seq != reference:
-            return _fail(name, f"forward transform^{q} misses at q={q}")
-    return _ok(name)
+        yield "forward", q, seq, reference
 
 
-def _check_kernel_signs(max_n: int | None) -> PropertyReport:
-    name = "transforms: kernels alternate in sign from index 1 (q >= 2)"
+@_cases
+def _check_kernel_signs():
+    # Case (q, i, sign of the kernel's term i, (-1)^i).
     for q in (2, 4, 6, 8):
         values = kernel(q, 12).values
         for i in range(1, 12):
-            if values[i] == 0 or (values[i] > 0) != (i % 2 == 0):
-                return _fail(name, f"q={q} breaks at index {i}")
-    return _ok(name)
+            yield q, i, (values[i] > 0) - (values[i] < 0), (-1) ** i
 
 
 def _partition_block_counts(n: int) -> dict[int, int]:
@@ -378,90 +315,67 @@ def _partition_block_counts(n: int) -> dict[int, int]:
     return counts
 
 
-def _check_stirling_oracle(max_n: int | None) -> PropertyReport:
-    name = "stirling2: matches brute-force set-partition counts"
-    for n in range(1, _bound(8, max_n) + 1):
+@_cases
+def _check_stirling_oracle():
+    for n in range(1, 9):
         counts = _partition_block_counts(n)
         for k in range(0, n + 1):
-            if stirling2(n, k) != counts.get(k, 0):
-                return _fail(name, f"S2({n}, {k}) differs")
-    return _ok(name)
+            yield n, k, stirling2(n, k), counts.get(k, 0)
 
 
-def _check_a008957(max_n: int | None) -> PropertyReport:
-    name = "a008957: both closed forms equal the triangle slice"
-    limit = _bound(15, max_n)
-    for n in range(1, limit + 1):
+@_cases
+def _check_a008957():
+    for n in range(1, 16):
         for k in range(1, n + 1):
             fd = a008957_fd(n, k)
-            st = a008957_stirling(n, k)
             tri = triangle_entry_recurrence(2 * n - 1, 2 * n - 2 * k + 1)
-            if not fd == st == tri:
-                return _fail(name, f"({n}, {k}): {fd}, {st}, {tri}")
-            if fd <= 0:
-                return _fail(name, f"non-positive value at ({n}, {k})")
-    return _ok(name)
+            yield "finite difference", n, k, fd, tri
+            yield "stirling sum", n, k, a008957_stirling(n, k), tri
+            yield "positive", n, k, fd > 0, True
 
 
-def _check_divisibility(max_n: int | None) -> PropertyReport:
-    name = "powersum: (k+1)! divides the integral basis"
-    limit = _bound(15, max_n)
-    for k in range(1, limit + 1):
+@_cases
+def _check_divisibility():
+    # Case (n, k, I_{k+1}(n) mod (k+1)!, 0).
+    for k in range(1, 16):
         fact = math.factorial(k + 1)
         for n in range(-50, 51):
-            if integral_basis(n, k + 1) % fact:
-                return _fail(name, f"fails at n={n}, k={k}")
-    return _ok(name)
+            yield n, k, integral_basis(n, k + 1) % fact, 0
 
 
-def _check_oracle_grid(max_n: int | None) -> PropertyReport:
-    name = "powersum: basis method equals the naive oracle"
-    m_limit = _bound(30, max_n)
-    n_values = list(range(1, _bound(100, max_n) + 1))
-    for big in (10**3, 10**4):
-        if max_n is None or max_n >= big:
-            n_values.append(big)
-    for m in range(1, m_limit + 1):
-        for n in n_values:
-            if power_sum(m, n).value != power_sum_naive(m, n):
-                return _fail(name, f"differs at m={m}, n={n}")
-    return _ok(name)
+@_cases
+def _check_oracle_grid():
+    for m in range(1, 31):
+        for n in [*range(1, 101), 10**3, 10**4]:
+            yield m, n, power_sum(m, n).value, power_sum_naive(m, n)
 
 
-def _check_closed_forms(max_n: int | None) -> PropertyReport:
-    name = "powersum: classical closed forms for m = 1, 2, 3"
-    limit = _bound(200, max_n)
-    for n in range(1, limit + 1):
-        if power_sum(1, n).value * 2 != n * (n + 1):
-            return _fail(name, f"m=1 fails at n={n}")
-        if power_sum(2, n).value * 6 != n * (n + 1) * (2 * n + 1):
-            return _fail(name, f"m=2 fails at n={n}")
-        if power_sum(3, n).value * 4 != (n * (n + 1)) ** 2:
-            return _fail(name, f"m=3 fails at n={n}")
-    return _ok(name)
+@_cases
+def _check_closed_forms():
+    # Case (m, n, c * S_m(n), the classical closed form times c).
+    for n in range(1, 201):
+        yield 1, n, power_sum(1, n).value * 2, n * (n + 1)
+        yield 2, n, power_sum(2, n).value * 6, n * (n + 1) * (2 * n + 1)
+        yield 3, n, power_sum(3, n).value * 4, (n * (n + 1)) ** 2
 
 
-def _check_telescoping(max_n: int | None) -> PropertyReport:
-    name = "powersum: basis differences telescope to the endpoint"
-    limit = _bound(50, max_n)
+@_cases
+def _check_telescoping():
     for k in range(1, 11):
-        for n in range(1, limit + 1):
+        for n in range(1, 51):
             total = sum(
                 integral_basis(j, k + 1) - integral_basis(j - 1, k + 1)
                 for j in range(1, n + 1)
             )
-            if total != integral_basis(n, k + 1):
-                return _fail(name, f"fails at k={k}, n={n}")
-    return _ok(name)
+            yield k, n, total, integral_basis(n, k + 1)
 
 
-def _check_lemma(max_n: int | None) -> PropertyReport:
-    name = "powersum: difference lemma for the flickering basis"
-    for k in range(1, _bound(12, max_n) + 1):
+def _check_lemma() -> CheckResult:
+    for k in range(1, 13):
         result = lemma_difference_check(k, range(-20, 21))
         if not result:
-            return _fail(name, f"counterexample {result.counterexample}")
-    return _ok(name)
+            return result
+    return CheckResult(True)
 
 
 def _random_series(rng: random.Random, order: int) -> SeriesQ:
@@ -471,68 +385,117 @@ def _random_series(rng: random.Random, order: int) -> SeriesQ:
     return SeriesQ(coeffs, order)
 
 
-def _check_series_algebra(max_n: int | None) -> PropertyReport:
-    name = "series: product is associative and has a unit (mod truncation)"
+@_cases
+def _check_series_algebra():
     rng = random.Random(394582)
-    for _ in range(40):
+    for trial in range(40):
         order = rng.randint(1, 8)
         f = _random_series(rng, order)
         g = _random_series(rng, order)
         h = _random_series(rng, order)
-        if (f * g) * h != f * (g * h):
-            return _fail(name, "associativity fails")
-        if f * SeriesQ.one(order) != f:
-            return _fail(name, "unit fails")
-    return _ok(name)
+        yield "associativity", trial, (f * g) * h, f * (g * h)
+        yield "unit", trial, f * SeriesQ.one(order), f
 
 
-def _check_bfile_roundtrip(max_n: int | None) -> PropertyReport:
-    name = "bfile: format/parse round trip"
+@_cases
+def _check_bfile_roundtrip():
     cases = [
         (row_sums(12).values, 1),
         (kernel(4, 9).values, 0),
         (todd_column(9, 5), 1),
     ]
     for values, offset in cases:
-        if parse_bfile(format_bfile(values, offset)) != (offset, values):
-            return _fail(name, f"round trip fails at offset {offset}")
-    return _ok(name)
+        yield offset, parse_bfile(format_bfile(values, offset)), (offset, values)
 
 
-_CHECKS: list[Callable[[int | None], PropertyReport]] = [
-    _check_triangle_methods,
-    _check_triangle_integrality,
-    _check_zero_pattern,
-    _check_collapse,
-    _check_power_expansion,
-    _check_diff_table,
-    _check_todd_methods,
-    _check_subgrid,
-    _check_transition,
-    _check_reference_rows,
-    _check_reference_columns,
-    _check_fit_exact,
-    _check_fit_heldout,
-    _check_fit_residual,
-    _check_gf_full,
-    _check_gf_odd,
-    _check_bell_routes,
-    _check_bell_prefix,
-    _check_binomial_inverse,
-    _check_kernels,
-    _check_kernel_signs,
-    _check_stirling_oracle,
-    _check_a008957,
-    _check_divisibility,
-    _check_oracle_grid,
-    _check_closed_forms,
-    _check_telescoping,
-    _check_lemma,
-    _check_series_algebra,
-    _check_bfile_roundtrip,
+@_cases
+def _check_todd_row_2():
+    # Todd row 2 is A000975, floor(2^(k+1) / 3).
+    for k, value in enumerate(todd_row(2, 60), start=1):
+        yield k, value, 2 ** (k + 1) // 3
+
+
+@_cases
+def _check_todd_row_3():
+    # Slot 2j+1 is h_j(1, 4, 9), the coefficient of x^j in
+    # 1/((1-x)(1-4x)(1-9x)) (A002451), here by partial fractions.
+    row = todd_row(3, 60)
+    for j in range(30):
+        h = exact_div(243 * 9**j - 128 * 4**j + 5, 120)
+        yield "odd", 2 * j + 1, row[2 * j], h
+        yield "even", 2 * j + 2, row[2 * j + 1], 3 * row[2 * j]
+
+
+@_cases
+def _check_a036969():
+    triangle = triangle_rows(79, method="recurrence")
+    row = [1]  # row n of A036969, A(n, k) for k = 1..n
+    for n in range(1, 41):
+        yield n, triangle.row(2 * n - 1)[::2], row
+        # A(n+1, k) = A(n, k-1) + k^2 A(n, k), with A(n, 0) = A(n, n+1) = 0.
+        padded = [0, *row, 0]
+        row = [padded[k - 1] + k * k * padded[k] for k in range(1, n + 2)]
+
+
+# The suite in the order `flick verify` reports it.
+_CHECKS: list[tuple[str, Check]] = [
+    ("triangle: extraction == recurrence", _check_triangle_methods),
+    (
+        "triangle: recurrence divisions exact, entries nonnegative",
+        _check_triangle_integrality,
+    ),
+    ("triangle: zeros exactly at even k, odd n, 1 < k < n", _check_zero_pattern),
+    ("triangle: T(n, k) = T(n-1, k-1) for even n, even k", _check_collapse),
+    ("triangle: n^m expands over the fallshift basis", _check_power_expansion),
+    ("difference table: level lengths and recurrence", _check_diff_table),
+    ("todd: recurrence == finite difference == stirling sum", _check_todd_methods),
+    ("todd: sub-grid of the triangle at odd columns", _check_subgrid),
+    (
+        "todd: column transition Todd(n,2m+1) - Todd(n-1,2m+1) = n^2 Todd(n,2m-1)",
+        _check_transition,
+    ),
+    (
+        "todd: rows 1-5 x columns 1-8 match the reference corner",
+        _check_reference_rows,
+    ),
+    ("todd: columns 1-9 match the reference prefixes", _check_reference_columns),
+    (
+        "columns: fitted (P_1, D_1) = (1, 6) and (P_2, D_2) = (5n-1, 360)",
+        _check_fit_exact,
+    ),
+    ("columns: fit reproduces 20 held-out values for m <= 5", _check_fit_heldout),
+    ("columns: factorizations satisfy the transition recurrence", _check_fit_residual),
+    ("genfunc: full-row series match todd rows", _check_gf_full),
+    ("genfunc: odd-slot series match odd todd columns", _check_gf_odd),
+    ("bell: row sums == anti-diagonals == OGF == closed form", _check_bell_routes),
+    ("bell: first ten terms match the reference list", _check_bell_prefix),
+    ("transforms: inverse(transform) is the identity", _check_binomial_inverse),
+    ("transforms: kernels match references and transform back", _check_kernels),
+    (
+        "transforms: kernels alternate in sign from index 1 (q >= 2)",
+        _check_kernel_signs,
+    ),
+    ("stirling2: matches brute-force set-partition counts", _check_stirling_oracle),
+    ("a008957: both closed forms equal the triangle slice", _check_a008957),
+    ("powersum: (k+1)! divides the integral basis", _check_divisibility),
+    ("powersum: basis method equals the naive oracle", _check_oracle_grid),
+    ("powersum: classical closed forms for m = 1, 2, 3", _check_closed_forms),
+    ("powersum: basis differences telescope to the endpoint", _check_telescoping),
+    ("powersum: difference lemma for the flickering basis", _check_lemma),
+    (
+        "series: product is associative and has a unit (mod truncation)",
+        _check_series_algebra,
+    ),
+    ("bfile: format/parse round trip", _check_bfile_roundtrip),
+    ("todd: row 2 is A000975, floor(2^(k+1)/3)", _check_todd_row_2),
+    (
+        "todd: row 3 odd slots are A002451, each even slot 3x the odd before it",
+        _check_todd_row_3,
+    ),
+    ("triangle: odd slots of row 2n-1 are row n of A036969", _check_a036969),
 ]
 
 
-def run_suite(max_n: int | None = None) -> list[PropertyReport]:
-    """Run every property check; max_n caps the per-check bounds when given."""
-    return [check(max_n) for check in _CHECKS]
+def run_suite() -> list[tuple[str, CheckResult]]:
+    """Run every check of `_CHECKS` in order; return (name, result) pairs."""
+    return [(name, check()) for name, check in _CHECKS]

@@ -2,8 +2,8 @@
 
 Each test prints a single [PASS]/[FAIL] line (visible with `pytest -s`);
 criteria with a stated wall-clock budget enforce it with perf_counter.  A
-criterion that `flick verify` covers runs the named checks of `flick.verify`
-at their full bounds, so the reference data and the checks have one copy.
+criterion that `flick verify` covers looks its checks up by name in the table
+`flick.verify._CHECKS`, so the reference data and the checks have one copy.
 """
 
 from __future__ import annotations
@@ -12,26 +12,10 @@ import time
 from collections.abc import Sequence
 
 from flick.cli import main as cli_main
+from flick.exact import CheckResult
 from flick.powersum import power_sum, power_sum_naive
 from flick.triangle import triangle_rows
-from flick.verify import (
-    _CHECKS,
-    PropertyReport,
-    _check_a008957,
-    _check_bell_prefix,
-    _check_bell_routes,
-    _check_closed_forms,
-    _check_fit_exact,
-    _check_fit_heldout,
-    _check_gf_full,
-    _check_gf_odd,
-    _check_kernels,
-    _check_oracle_grid,
-    _check_reference_columns,
-    _check_reference_rows,
-    _check_todd_methods,
-    _check_triangle_methods,
-)
+from flick.verify import _CHECKS
 
 TRIANGLE_ROWS_1_TO_10 = [
     [1],
@@ -48,26 +32,27 @@ TRIANGLE_ROWS_1_TO_10 = [
 
 
 def _report(
-    label: str, reports: Sequence[PropertyReport] = (), ok: bool = True
+    label: str, results: Sequence[tuple[str, CheckResult]] = (), ok: bool = True
 ) -> None:
-    failed = [f"{r.name}: {r.detail}" for r in reports if not r.ok]
+    failed = [f"{name}: {r.counterexample}" for name, r in results if not r]
     ok = ok and not failed
     print(f"[{'PASS' if ok else 'FAIL'}] {label}")
     assert ok, failed or label
 
 
-def _run(*checks) -> list[PropertyReport]:
-    # The full documented bounds, as `flick verify` runs them.
-    return [check(None) for check in checks]
+def _run(*names: str) -> list[tuple[str, CheckResult]]:
+    # The named checks of `flick verify`, looked up in its table.
+    checks = dict(_CHECKS)
+    return [(name, checks[name]()) for name in names]
 
 
 def test_criterion_01_table_reproduction():
     start = time.perf_counter()
-    reports = _run(_check_reference_rows)
+    results = _run("todd: rows 1-5 x columns 1-8 match the reference corner")
     elapsed = time.perf_counter() - start
     _report(
         f"criterion 1: 40-value array corner, exact, {elapsed:.3f}s < 1s",
-        reports,
+        results,
         elapsed < 1.0,
     )
 
@@ -80,12 +65,15 @@ def test_criterion_02_triangle_reproduction():
 
 def test_criterion_03_method_agreement():
     start = time.perf_counter()
-    reports = _run(_check_todd_methods, _check_triangle_methods)
+    results = _run(
+        "todd: recurrence == finite difference == stirling sum",
+        "triangle: extraction == recurrence",
+    )
     elapsed = time.perf_counter() - start
     _report(
         f"criterion 3: triple agreement on the array + dual on the triangle, "
         f"{elapsed:.3f}s < 30s",
-        reports,
+        results,
         elapsed < 30.0,
     )
 
@@ -93,41 +81,50 @@ def test_criterion_03_method_agreement():
 def test_criterion_04_generating_functions():
     _report(
         "criterion 4: row generating functions for n = 1..6",
-        _run(_check_gf_full, _check_gf_odd),
+        _run(
+            "genfunc: full-row series match todd rows",
+            "genfunc: odd-slot series match odd todd columns",
+        ),
     )
 
 
 def test_criterion_05_column_identifications():
     _report(
         "criterion 5: column prefixes k = 1..9 (incl. column 9 list)",
-        _run(_check_reference_columns),
+        _run("todd: columns 1-9 match the reference prefixes"),
     )
 
 
 def test_criterion_06_bell_quadruple_agreement():
     _report(
         "criterion 6: four routes to the Bell sequence agree on n = 1..20",
-        _run(_check_bell_routes, _check_bell_prefix),
+        _run(
+            "bell: row sums == anti-diagonals == OGF == closed form",
+            "bell: first ten terms match the reference list",
+        ),
     )
 
 
 def test_criterion_07_kernel_hierarchy():
     _report(
         "criterion 7: inverse-transform kernels for p = 1, 3, 5, 7, 9",
-        _run(_check_kernels),
+        _run("transforms: kernels match references and transform back"),
     )
 
 
 def test_criterion_08_a008957_identities():
     _report(
         "criterion 8: both A008957 closed forms equal the triangle slice",
-        _run(_check_a008957),
+        _run("a008957: both closed forms equal the triangle slice"),
     )
 
 
 def test_criterion_09_faulhaber_engine():
     start = time.perf_counter()
-    reports = _run(_check_oracle_grid, _check_closed_forms)
+    results = _run(
+        "powersum: basis method equals the naive oracle",
+        "powersum: classical closed forms for m = 1, 2, 3",
+    )
     ok = True
     for m in range(1, 31):
         for n in list(range(1, 101)) + [10**3, 10**4]:
@@ -141,7 +138,7 @@ def test_criterion_09_faulhaber_engine():
     elapsed = time.perf_counter() - start
     _report(
         f"criterion 9: oracle grid m <= 30 + closed forms, {elapsed:.3f}s < 60s",
-        reports,
+        results,
         ok and elapsed < 60.0,
     )
 
@@ -149,7 +146,10 @@ def test_criterion_09_faulhaber_engine():
 def test_criterion_10_column_polynomial_fitting():
     _report(
         "criterion 10: column fits (1,6), (5n-1,360) and held-out refits",
-        _run(_check_fit_exact, _check_fit_heldout),
+        _run(
+            "columns: fitted (P_1, D_1) = (1, 6) and (P_2, D_2) = (5n-1, 360)",
+            "columns: fit reproduces 20 held-out values for m <= 5",
+        ),
     )
 
 
@@ -165,9 +165,9 @@ def test_criterion_11_property_suite(capsys):
     _report("criterion 11: full property suite green, verify exits 0", ok=ok)
 
 
-def test_note_bench_cost_independent_of_n():
-    # Qualitative scaling demonstration: the basis method's cost does not
-    # grow with n, the naive loop's does.
+def test_note_power_sum_outpaces_naive_loop():
+    # Qualitative scaling demonstration: the basis method's cost grows with
+    # the digit count of n, the naive loop's with n itself.
     start = time.perf_counter()
     value = power_sum(10, 10**6).value
     flick_elapsed = time.perf_counter() - start

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faulhaber import faulhaber_sum
 from flick.bfile import parse_bfile
-from flick.cli import main
-from flick.exact import InexactDivisionError
+from flick.cli import FORMATS, main
+from flick.exact import CheckResult, InexactDivisionError
 from flick.verify import REFERENCE_BELL, REFERENCE_KERNELS, REFERENCE_TABLE
 
 
@@ -145,12 +149,34 @@ def test_fitcol(capsys):
     assert lines[3] == "denominator: 360"
 
 
-def test_verify_small_bounds(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--max-n", "12")
-    assert code == 0
+def test_verify_reports_a_failed_check_and_exits_1(monkeypatch, capsys):
+    import flick.verify
+
+    checks = list(flick.verify._CHECKS)
+    name, _ = checks[3]
+    checks[3] = (name, lambda: CheckResult(False, (4, 2, 5, 0)))
+    monkeypatch.setattr(flick.verify, "_CHECKS", checks)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
     lines = out.splitlines()
-    assert all(line.startswith("PASS") for line in lines[:-1])
-    assert lines[-1].endswith("checks passed")
+    assert lines[3] == f"FAIL  {name}: (4, 2, 5, 0)"
+    assert sum(line.startswith("PASS  ") for line in lines) == len(checks) - 1
+    assert lines[-1] == f"1 of {len(checks)} checks failed"
+
+
+def test_verify_has_no_bound_option(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--max-n", "5"])
+    assert excinfo.value.code == 2
+
+
+def test_powersum_check_mismatch_exits_1(monkeypatch, capsys):
+    import flick.cli
+
+    monkeypatch.setattr(flick.cli, "power_sum_naive", lambda m, n: 0)
+    code, out, _ = run_cli(capsys, "powersum", "5", "10", "--check")
+    assert code == 1
+    assert out.splitlines() == [str(faulhaber_sum(5, 10)), "ERROR"]
 
 
 def test_deterministic_output(capsys):
@@ -196,3 +222,72 @@ def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
         assert code == 3
         assert out == ""
         assert err == f"error: internal: {message}\n"
+
+
+# Argument vectors for every subcommand but `verify`, at bounded sizes: rows
+# and counts <= 40, m <= 60, n <= 10^6, fitcol m <= 4.  Values just below the
+# valid range, a non-integer and a missing option exercise both usage-error
+# paths (exit 2 from `main`, SystemExit(2) from argparse).
+def _ints(high: int) -> st.SearchStrategy[str]:
+    # -2 stands for a value that is not an integer.
+    return st.integers(-2, high).map(lambda v: "x" if v == -2 else str(v))
+
+
+def _option(flag: str, values: st.SearchStrategy[str]) -> st.SearchStrategy[list[str]]:
+    return st.one_of(values.map(lambda value: [flag, value]), st.just([]))
+
+
+def _flag(flag: str) -> st.SearchStrategy[list[str]]:
+    return st.sampled_from([[], [flag]])
+
+
+_FORMAT = _option("--format", st.sampled_from(FORMATS + ("yaml",)))
+_COUNT = _option("--count", _ints(40))
+_POWERSUM = st.one_of(
+    st.tuples(_ints(60), _ints(10**6)).map(list),
+    # --check runs the naive loop, linear in n, so its n stays small.
+    st.tuples(_ints(60), _ints(10**4), st.just("--check")).map(list),
+)
+_ARGV = st.one_of(
+    st.tuples(
+        st.just(["triangle"]),
+        _option("--rows", _ints(40)),
+        _option("--method", st.sampled_from(["extraction", "recurrence", "x"])),
+        _FORMAT,
+    ),
+    st.tuples(
+        st.just(["todd"]),
+        _option("--rows", _ints(40)),
+        _option("--cols", _ints(40)),
+        _FORMAT,
+    ),
+    st.tuples(st.just(["row"]), _ints(40).map(lambda n: [n]), _COUNT, _FORMAT),
+    st.tuples(st.just(["col"]), _ints(40).map(lambda k: [k]), _COUNT, _FORMAT),
+    st.tuples(st.just(["powersum"]), _POWERSUM),
+    st.tuples(st.just(["bell"]), _COUNT, _option("--kernels", _ints(40)), _FORMAT),
+    st.tuples(
+        st.just(["gf"]),
+        _option("--row", _ints(40)),
+        _option("--order", _ints(40)),
+        _flag("--odd"),
+    ),
+    st.tuples(st.just(["fitcol"]), _ints(4).map(lambda m: [m])),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_ARGV)
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the vector
+            assert exc.code == 2, (argv, err.getvalue())
+            return
+    # Exit 1 means a failed verification, which no input may cause here.
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    if code == 0:
+        assert out.getvalue() and not err.getvalue(), argv
+    else:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())

@@ -143,3 +143,6 @@ def test_intseq_compares_with_plain_lists():
     assert IntSeq([1, 2, 3], offset=1) == [1, 2, 3]
     assert list(IntSeq([4, 5], offset=0)) == [4, 5]
     assert len(IntSeq([4, 5], offset=0)) == 2
+    # A non-iterable is simply unequal.
+    assert (IntSeq([1]) == 1) is False
+    assert IntSeq([1]) != 1
