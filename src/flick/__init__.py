@@ -1,9 +1,10 @@
 """Exact-arithmetic toolkit for the flickering central factorial triangle
 (A395021), its companion array (A394582) and integer-only power sums.
 
-Everything is computed in plain Python integers and Fractions; identities
-come with independent computation routes and the `verify` suite cross-checks
-them all.  The package re-exports the names the demos and the README use;
+Every route computes in plain Python integers (`Fraction` is left only in
+the truncated series type `flick.series.SeriesQ`, which no route uses);
+identities come with independent computation routes and the `verify` suite
+cross-checks them all.  The package re-exports the names the demos and the README use;
 every other name is imported from its submodule.
 """
 

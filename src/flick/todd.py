@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import CheckResult, exact_div
 from .series import PolyZ
@@ -200,79 +199,57 @@ class ColumnFactorization:
         return exact_div(self.base(n) * self.u_numerator(n), self.denominator)
 
 
-def _newton_interpolate(start: int, values: list[Fraction]) -> list[Fraction]:
-    # Exact monomial coefficients of the unique polynomial through
-    # (start + i, values[i]); Newton forward differences on unit-spaced nodes.
-    diffs = list(values)
-    coeffs = [Fraction(0)] * len(values)
-    basis = [Fraction(1)]  # running product (x - start)(x - start - 1).../j!
-    for j in range(len(values)):
-        lead = diffs[0]
-        for i, b in enumerate(basis):
-            coeffs[i] += lead * b
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        root = start + j
-        shifted = [Fraction(0)] + basis
-        for i, b in enumerate(basis):
-            shifted[i] -= root * b
-        basis = [b / (j + 1) for b in shifted]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _newton_polynomial(leads: list[int]) -> PolyZ:
+    """d! * sum_j leads[j] * C(n-1, j) for d = len(leads) - 1, by Horner's
+    rule over the integer terms (d!/j!) * (n-1)(n-2)...(n-j)."""
+    poly, weight = PolyZ([]), 1  # weight = d!/j!
+    for j in range(len(leads) - 1, -1, -1):
+        poly = poly * PolyZ([-(j + 1), 1]) + PolyZ([leads[j] * weight])
+        weight *= j
+    return poly
 
 
-def fit_column_polynomial(m: int, degree_cap: int | None = None) -> ColumnFactorization:
-    """Recover (P_m, D_m) with Todd(n, 2m+1) = T_m(n) * P_m(n) / D_m.
+def fit_column_polynomial(m: int) -> ColumnFactorization:
+    """Recover (P_m, D_m) with Todd(n, 2m+1) = T_m(n) * P_m(n) / D_m, in integers.
 
-    Samples U(n) = Todd(n, 2m+1) / T_m(n) at n = 1, 2, ..., detects the
-    polynomial degree by exact finite differences (three vanishing entries in
-    a row), interpolates over the rationals and clears denominators.  Raises
-    if the differences refuse to vanish below the degree cap, which would
-    mean U is not a polynomial at all.
+    Samples U(n) = Todd(n, 2m+1) / T_m(n) at n = 1 .. 4m+5 over one common
+    denominator and differences them once: the first level that vanishes gives
+    the degree, and the first entry of each level before it is a Newton
+    coefficient.  Raises if no level up to 4m+1 vanishes (U is not a
+    polynomial of degree <= 4m) or if the reduced (P, D) misses any sample.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if degree_cap is None:
-        degree_cap = 4 * m
-    base = base_poly(m)
-    column = 2 * m + 1
+    base, column, cap = base_poly(m), 2 * m + 1, 4 * m
 
-    samples: list[tuple[int, Fraction]] = []
-    n = 1
-    while len(samples) < degree_cap + 5:
-        denom = base(n)
-        if denom != 0:
-            samples.append((n, Fraction(todd_recurrence(n, column), denom)))
-        n += 1
+    # U(n) = num / den in lowest terms; T_m(n) > 0 for every n >= 1.
+    samples = []
+    for n in range(1, cap + 6):
+        todd, denom = todd_recurrence(n, column), base(n)
+        shared = math.gcd(todd, denom)
+        samples.append((n, todd // shared, denom // shared))
+    scale = math.lcm(*(den for _, _, den in samples))
 
-    scale = math.lcm(*(v.denominator for _, v in samples))
-    level = [v.numerator * (scale // v.denominator) for _, v in samples]
-    degree = None
-    for d in range(degree_cap + 2):
-        if all(v == 0 for v in level) and len(level) >= 3:
-            degree = d - 1
-            break
+    level = [num * (scale // den) for _, num, den in samples]
+    leads = []
+    while any(level):
+        if len(leads) > cap:
+            raise ArithmeticError(
+                f"column {column} ratio is not polynomial of degree <= {cap}"
+            )
+        leads.append(level[0])
         level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
-    if degree is None or degree > degree_cap:
-        raise ArithmeticError(
-            f"column {column} ratio is not polynomial of degree <= {degree_cap}"
-        )
 
-    start = samples[0][0]
-    u_coeffs = _newton_interpolate(start, [v for _, v in samples[: degree + 1]])
-    denominator = math.lcm(*(c.denominator for c in u_coeffs)) if u_coeffs else 1
-    numerator = [int(c * denominator) for c in u_coeffs]
-    content = math.gcd(*(abs(c) for c in numerator)) if numerator else 0
-    shared = math.gcd(content, denominator)
-    if shared > 1:
-        numerator = [c // shared for c in numerator]
-        denominator //= shared
-    u_numerator = PolyZ(numerator)
-    # Every sample, not just the interpolated ones, must satisfy
+    numerator = _newton_polynomial(leads)
+    denominator = scale * math.factorial(len(leads) - 1)
+    shared = math.gcd(*numerator.coeffs, denominator)
+    numerator = PolyZ([c // shared for c in numerator.coeffs])
+    denominator //= shared
+    # Every sample, not just the first degree + 1, must satisfy
     # P(n) / D = U(n); checked cross-multiplied in integers.
-    for point, u in samples:
-        if u_numerator(point) * u.denominator != denominator * u.numerator:
-            raise ArithmeticError(f"interpolant misses sample at n={point}")
+    for n, num, den in samples:
+        if numerator(n) * den != denominator * num:
+            raise ArithmeticError(f"interpolant misses sample at n={n}")
     return ColumnFactorization(
-        m=m, base=base, u_numerator=u_numerator, denominator=denominator
+        m=m, base=base, u_numerator=numerator, denominator=denominator
     )

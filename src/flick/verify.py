@@ -3,7 +3,8 @@ each a named check in `_CHECKS`, reported as one pass/fail line by the CLI.
 
 Every check runs at fixed bounds and returns a `CheckResult`; a failed one
 carries the first counterexample as a tuple of indices and values, led by a
-short label where the check can fail in more than one way.
+short label where the check can fail in more than one way.  A check that
+raises `ArithmeticError` fails as ("raised", exception class, message).
 
 Reference prefixes (the array corner, the named column prefixes, the Bell
 prefix, the transform kernels) are frozen here as data, and this is their only
@@ -128,10 +129,7 @@ def _check_triangle_methods():
 
 
 def _check_triangle_integrality() -> CheckResult:
-    try:
-        triangle = triangle_rows(200, method="recurrence")
-    except ArithmeticError as exc:
-        return CheckResult(False, ("inexact", str(exc)))
+    triangle = triangle_rows(200, method="recurrence")
     for n in range(1, 201):
         for k, value in enumerate(triangle.row(n), start=1):
             if value < 0:
@@ -496,6 +494,15 @@ _CHECKS: list[tuple[str, Check]] = [
 ]
 
 
+def _run(check: Check) -> CheckResult:
+    # An inexact division or any other arithmetic fault fails this check
+    # alone; the rest of the suite still runs and reports.
+    try:
+        return check()
+    except ArithmeticError as exc:
+        return CheckResult(False, ("raised", type(exc).__name__, str(exc)))
+
+
 def run_suite() -> list[tuple[str, CheckResult]]:
     """Run every check of `_CHECKS` in order; return (name, result) pairs."""
-    return [(name, check()) for name, check in _CHECKS]
+    return [(name, _run(check)) for name, check in _CHECKS]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from faulhaber import faulhaber_sum
 from flick.bfile import parse_bfile
 from flick.cli import FORMATS, main
-from flick.exact import CheckResult, InexactDivisionError
+from flick.exact import CheckResult, InexactDivisionError, exact_div
 from flick.verify import REFERENCE_BELL, REFERENCE_KERNELS, REFERENCE_TABLE
 
 
@@ -162,6 +162,25 @@ def test_verify_reports_a_failed_check_and_exits_1(monkeypatch, capsys):
     assert lines[3] == f"FAIL  {name}: (4, 2, 5, 0)"
     assert sum(line.startswith("PASS  ") for line in lines) == len(checks) - 1
     assert lines[-1] == f"1 of {len(checks)} checks failed"
+
+
+def test_verify_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
+    import flick.verify
+
+    checks = list(flick.verify._CHECKS)
+    name, _ = checks[12]
+    checks[12] = (name, lambda: exact_div(7, 2))
+    monkeypatch.setattr(flick.verify, "_CHECKS", checks)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert len(checks) == 33
+    assert sum(line.startswith("PASS  ") for line in lines) == 32
+    assert lines[12] == (
+        f"FAIL  {name}: ('raised', 'InexactDivisionError', '7 is not divisible by 2')"
+    )
+    assert lines[-1] == "1 of 33 checks failed"
 
 
 def test_verify_has_no_bound_option(capsys):

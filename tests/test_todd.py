@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,7 @@ from flick.series import PolyZ
 from flick.todd import (
     ColumnFactorization,
     ToddGrid,
-    _newton_interpolate,
+    _newton_polynomial,
     base_poly,
     column_transition_check,
     fit_column_polynomial,
@@ -176,7 +175,8 @@ def test_fit_column_m1_and_m2():
 
 
 def test_fit_refits_held_out_points():
-    for m in range(1, 6):
+    # m = 44 (column 89) is the largest fit the routes benchmark runs.
+    for m in [*range(1, 6), 44]:
         fit = fit_column_polynomial(m)
         assert isinstance(fit, ColumnFactorization)
         assert fit.column == 2 * m + 1
@@ -193,35 +193,41 @@ def test_fit_rejects_bad_m():
         fit_column_polynomial(0)
 
 
-def test_fit_degree_cap_failure_is_loud():
-    # An artificially tiny cap must fail fast rather than return a bogus fit.
-    with pytest.raises(ArithmeticError):
-        fit_column_polynomial(4, degree_cap=1)
+def test_fit_degree_cap_failure_is_loud(monkeypatch):
+    # A column whose ratio is no polynomial must fail at the cap 4m rather
+    # than return a bogus fit.
+    monkeypatch.setattr("flick.todd.todd_recurrence", lambda n, k: 2**n)
+    with pytest.raises(ArithmeticError, match="not polynomial of degree <= 16$"):
+        fit_column_polynomial(4)
+    # The cap is exact: a ratio of degree 4m fits, one of degree 4m + 1 does not.
+    base = base_poly(4)
+    monkeypatch.setattr("flick.todd.todd_recurrence", lambda n, k: base(n) * n**16)
+    fit = fit_column_polynomial(4)
+    assert (list(fit.u_numerator.coeffs), fit.denominator) == ([0] * 16 + [1], 1)
+    monkeypatch.setattr("flick.todd.todd_recurrence", lambda n, k: base(n) * n**17)
+    with pytest.raises(ArithmeticError, match="not polynomial of degree <= 16$"):
+        fit_column_polynomial(4)
 
 
 def test_fit_rejects_an_interpolant_that_misses_a_sample(monkeypatch):
     nodes = []
 
-    def shift_constant(start, values):
-        coeffs = _newton_interpolate(start, values)
-        coeffs[0] += Fraction(1, 7)
-        return coeffs
+    def shift_constant(leads):
+        return _newton_polynomial(leads) + PolyZ([1])
 
-    def bend_beyond_nodes(start, values):
-        # Add (x - start)(x - start - 1)...: zero on every interpolation node,
-        # so only the samples past them can expose it.
-        nodes.append(len(values))
+    def bend_beyond_nodes(leads):
+        # Add (n - 1)(n - 2)...: zero on every interpolation node, so only
+        # the samples past them can expose it.
+        nodes.append(len(leads))
         bend = PolyZ([1])
-        for i in range(len(values)):
-            bend = bend * PolyZ([-(start + i), 1])
-        coeffs = _newton_interpolate(start, values)
-        coeffs += [Fraction(0)] * (len(bend.coeffs) - len(coeffs))
-        return [c + b for c, b in zip(coeffs, bend.coeffs)]
+        for i in range(1, len(leads) + 1):
+            bend = bend * PolyZ([-i, 1])
+        return _newton_polynomial(leads) + bend
 
-    monkeypatch.setattr("flick.todd._newton_interpolate", shift_constant)
+    monkeypatch.setattr("flick.todd._newton_polynomial", shift_constant)
     with pytest.raises(ArithmeticError, match="interpolant misses sample at n=1$"):
         fit_column_polynomial(3)
-    monkeypatch.setattr("flick.todd._newton_interpolate", bend_beyond_nodes)
+    monkeypatch.setattr("flick.todd._newton_polynomial", bend_beyond_nodes)
     with pytest.raises(ArithmeticError, match="interpolant misses sample at n=") as err:
         fit_column_polynomial(3)
     assert str(err.value).endswith(f"n={nodes[0] + 1}")
