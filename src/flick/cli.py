@@ -5,29 +5,49 @@ error (an arithmetic fault such as an inexact division, a recursion limit, an
 operating-system error, or running out of memory).  All numeric output is full
 decimal, of any length, and every command is deterministic for fixed
 arguments.
+
+Each command imports only the modules it runs, so a cold `flick` process
+pays for no engine it does not use.  The library functions in `_LIBRARY`
+are attributes of this module, loaded on first read (PEP 562), and the
+handlers call them through `_this`, the module they run in (`__main__`
+under `python -m`).  That keeps one binding per name here, which the traced
+benchmark (`bench/layers.py`) wraps by (module, attribute).  `power_sum`,
+`fit_column_polynomial` and `expand_rational` are imported from their own
+modules at call time instead, since the trace wraps them there first.  Once
+the trace binds each span by its defining function, plain imports inside
+the handlers will do.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from typing import Iterator
 
-from .bfile import format_bfile
-# Unused here: bench/layers.py times b-file parsing under this name.
-from .bfile import parse_bfile  # noqa: F401
-from .powersum import power_sum, power_sum_naive
-from .series import expand_rational, row_gf_full, row_gf_odd
-from .todd import fit_column_polynomial, todd_column, todd_row
-from .transforms import kernel, row_sums
-from .triangle import triangle_rows
-from .verify import run_suite
+from . import _lazy_getattr
 
 __all__ = ["main"]
 
 FORMATS = ("table", "csv", "json", "bfile")
+
+# Library functions the handlers call, and the module that defines each.
+_LIBRARY = {
+    "format_bfile": "bfile",
+    "parse_bfile": "bfile",  # unused here: the trace times b-file parsing under it
+    "power_sum_naive": "powersum",
+    "row_gf_full": "series",
+    "row_gf_odd": "series",
+    "todd_column": "todd",
+    "todd_row": "todd",
+    "kernel": "transforms",
+    "row_sums": "transforms",
+    "triangle_rows": "triangle",
+    "run_suite": "verify",
+}
+
+__getattr__ = _lazy_getattr(globals(), _LIBRARY)
+_this = sys.modules[__name__]
 
 
 class UsageError(Exception):
@@ -38,28 +58,33 @@ def _sequence_output(name: str, values: list[int], offset: int, fmt: str) -> str
     if fmt in ("table", "csv"):
         return ",".join(str(v) for v in values)
     if fmt == "json":
+        import json
+
         return json.dumps(
             {"name": name, "offset": offset, "values": [str(v) for v in values]}
         )
     if fmt == "bfile":
-        return format_bfile(values, offset).rstrip("\n")
+        return _this.format_bfile(values, offset).rstrip("\n")
     raise UsageError(f"unknown format {fmt!r}")
 
 
 def _grid_output(name: str, rows: list[list[int]], offset: int, fmt: str) -> str:
     if fmt == "table":
+        cells = [[str(v) for v in row] for row in rows]
         widths: dict[int, int] = {}
-        for row in rows:
-            for i, v in enumerate(row):
-                widths[i] = max(widths.get(i, 0), len(str(v)))
+        for row in cells:
+            for i, cell in enumerate(row):
+                widths[i] = max(widths.get(i, 0), len(cell))
         lines = [
-            "  ".join(str(v).rjust(widths[i]) for i, v in enumerate(row)).rstrip()
-            for row in rows
+            "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip()
+            for row in cells
         ]
         return "\n".join(lines)
     if fmt == "csv":
         return "\n".join(",".join(str(v) for v in row) for row in rows)
     if fmt == "json":
+        import json
+
         return json.dumps(
             {
                 "name": name,
@@ -97,33 +122,36 @@ def _require_positive(**named: int) -> None:
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
     _require_positive(rows=args.rows)
-    rows = triangle_rows(args.rows, method=args.method).rows
+    rows = _this.triangle_rows(args.rows, method=args.method).rows
     print(_grid_output("triangle", rows, 1, args.format))
     return 0
 
 
 def _cmd_todd(args: argparse.Namespace) -> int:
     _require_positive(rows=args.rows, cols=args.cols)
-    rows = [todd_row(n, args.cols) for n in range(1, args.rows + 1)]
+    rows = [_this.todd_row(n, args.cols) for n in range(1, args.rows + 1)]
     print(_grid_output("todd", rows, 1, args.format))
     return 0
 
 
 def _cmd_line(args: argparse.Namespace) -> int:
-    # `row n` and `col k`: a prefix of one array row or column.
+    # `row n` and `col k`: a prefix of one array row or column, printed under
+    # the name of the function that computes it.
     index = getattr(args, args.axis)
     _require_positive(**{args.axis: index, "count": args.count})
-    values = args.line(index, args.count)
+    values = getattr(_this, args.name)(index, args.count)
     print(_sequence_output(f"{args.name}_{index}", values, 1, args.format))
     return 0
 
 
 def _cmd_powersum(args: argparse.Namespace) -> int:
+    from .powersum import power_sum
+
     _require_positive(m=args.m, n=args.n)
     result = power_sum(args.m, args.n)
     print(result.value)
     if args.check:
-        if result.value == power_sum_naive(args.m, args.n):
+        if result.value == _this.power_sum_naive(args.m, args.n):
             print("OK")
         else:
             print("ERROR")
@@ -134,20 +162,22 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
 def _cmd_bell(args: argparse.Namespace) -> int:
     _require_positive(count=args.count)
     if args.kernels is None:
-        seq = row_sums(args.count)
+        seq = _this.row_sums(args.count)
         name = "bell"
     else:
         if args.kernels < 0:
             raise UsageError(f"--kernels must be >= 0, got {args.kernels}")
-        seq = kernel(args.kernels, args.count)
+        seq = _this.kernel(args.kernels, args.count)
         name = f"bell_kernel_{args.kernels}"
     print(_sequence_output(name, seq.values, seq.offset, args.format))
     return 0
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
+    from .series import expand_rational
+
     _require_positive(row=args.row, order=args.order)
-    gf = row_gf_odd(args.row) if args.odd else row_gf_full(args.row)
+    gf = _this.row_gf_odd(args.row) if args.odd else _this.row_gf_full(args.row)
     coeffs = expand_rational(gf, args.order)
     print(f"numerator: {gf.num.to_str('x')}")
     print(f"denominator: {gf.den.to_str('x')}")
@@ -156,6 +186,8 @@ def _cmd_gf(args: argparse.Namespace) -> int:
 
 
 def _cmd_fitcol(args: argparse.Namespace) -> int:
+    from .todd import fit_column_polynomial
+
     _require_positive(m=args.m)
     fit = fit_column_polynomial(args.m)
     print(f"column: {fit.column}")
@@ -166,7 +198,7 @@ def _cmd_fitcol(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suite()
+    results = _this.run_suite()
     failures = 0
     for name, result in results:
         if result:
@@ -210,13 +242,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--format", choices=FORMATS, default="table")
-    p.set_defaults(func=_cmd_line, axis="n", line=todd_row, name="todd_row")
+    p.set_defaults(func=_cmd_line, axis="n", name="todd_row")
 
     p = sub.add_parser("col", help="print a prefix of an array column")
     p.add_argument("k", type=int)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--format", choices=FORMATS, default="table")
-    p.set_defaults(func=_cmd_line, axis="k", line=todd_column, name="todd_column")
+    p.set_defaults(func=_cmd_line, axis="k", name="todd_column")
 
     p = sub.add_parser("powersum", help="sum of m-th powers 1..n, exactly")
     p.add_argument("m", type=int)

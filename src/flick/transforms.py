@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .todd import _GRID
 from .triangle import _next_row
 
 __all__ = [
@@ -58,10 +57,10 @@ def row_sums(count: int) -> IntSeq:
     return IntSeq(sums, offset=1)
 
 
-def _grade_sum(grade: int) -> int:
+def _grade_sum(grid, grade: int) -> int:
     # Sum of Todd(m, c) over the grade line 2m + c - 2 = grade: exactly the
     # selection-path values extracted from the difference table of j^grade.
-    return sum(_GRID.antidiagonal(grade))
+    return sum(grid.antidiagonal(grade))
 
 
 def antidiagonal_sums(count: int) -> IntSeq:
@@ -75,10 +74,13 @@ def antidiagonal_sums(count: int) -> IntSeq:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    # Imported here so that the row-sum and kernel routes load no Todd grid.
+    from .todd import _GRID
+
     values = []
     previous = 0  # the grade-(n-1) sum, carried over from the step before
     for n in range(1, count + 1):
-        grade = _grade_sum(n)
+        grade = _grade_sum(_GRID, n)
         values.append(grade + previous if n % 2 == 0 else grade)
         previous = grade
     return IntSeq(values, offset=1)

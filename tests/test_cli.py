@@ -32,6 +32,14 @@ def test_triangle_table(capsys):
         "1,1,2,1",
         "1,0,5,0,1",
     ]
+    # The default table right-aligns each column to its widest entry.
+    code, out, _ = run_cli(capsys, "triangle", "--rows", "8")
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "1  1  10   5   3   1",
+        "1  0  21   0  14   0  1",
+        "1  1  42  21  42  14  4  1",
+    ]
 
 
 def test_triangle_methods_identical_output(capsys):

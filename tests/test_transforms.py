@@ -54,7 +54,9 @@ def test_antidiagonal_sums_one_grade_sum_per_term(monkeypatch):
     grades = []
     grade_sum = transforms._grade_sum
     monkeypatch.setattr(
-        transforms, "_grade_sum", lambda grade: grades.append(grade) or grade_sum(grade)
+        transforms,
+        "_grade_sum",
+        lambda grid, grade: grades.append(grade) or grade_sum(grid, grade),
     )
     assert antidiagonal_sums(40) == row_sums(40)
     assert grades == list(range(1, 41))
