@@ -6,14 +6,13 @@ of its odd columns.
 
 from flick import (
     base_poly,
-    column_transition_check,
     fit_column_polynomial,
-    subgrid_check,
     todd_column,
     todd_finite_difference,
     todd_recurrence,
     todd_row,
     todd_stirling,
+    triangle_entry_recurrence,
 )
 
 print("The array corner, by the flickering recurrence:")
@@ -36,11 +35,22 @@ print(f"  column 9:                            {todd_column(9, 5)}")
 
 print()
 print("The array is the odd-column slice of the triangle:")
-print(f"  Todd(m, k) == T(2m+k-2, 2m-1) on an 8 x 10 corner: {bool(subgrid_check(8, 10))}")
+subgrid = all(
+    todd_recurrence(m, k) == triangle_entry_recurrence(2 * m + k - 2, 2 * m - 1)
+    for m in range(1, 9)
+    for k in range(1, 11)
+)
+print(f"  Todd(m, k) == T(2m+k-2, 2m-1) on an 8 x 10 corner: {subgrid}")
 
 print()
 print("Column-to-column transition (discrete integration against n^2):")
-print(f"  Todd(n,2m+1) - Todd(n-1,2m+1) == n^2 Todd(n,2m-1): {bool(column_transition_check(30, 6))}")
+transition = all(
+    todd_recurrence(n, 2 * m + 1) - todd_recurrence(n - 1, 2 * m + 1)
+    == n * n * todd_recurrence(n, 2 * m - 1)
+    for m in range(1, 7)
+    for n in range(2, 31)
+)
+print(f"  Todd(n,2m+1) - Todd(n-1,2m+1) == n^2 Todd(n,2m-1): {transition}")
 
 print()
 print("Odd columns factor over an explicit base polynomial:")

@@ -7,18 +7,13 @@ structure that makes it tick: the zero pattern, the collapse identity, and
 the expansion of plain powers over the fallshift basis.
 """
 
-from flick import (
-    build_diff_table,
-    fallshift,
-    triangle_entry_recurrence,
-    triangle_rows,
-)
+from flick import fallshift, triangle_entry_recurrence, triangle_rows
 
 print("The difference pyramid of f(j) = j^6 on j = -8..8, central column:")
-table = build_diff_table(6)
+level = [j**6 for j in range(-8, 9)]
 for k in range(0, 7):
-    level = table.levels[k]
-    print(f"  order {k}: length {len(level):2d}, central slot {table.central_slot(k)}")
+    print(f"  order {k}: length {len(level):2d}, central slot {level[len(level) // 2]}")
+    level = [b - a for a, b in zip(level, level[1:])]
 
 print()
 print("Dividing |central slot| by k! row by row gives the triangle:")

@@ -22,8 +22,6 @@ _SOURCES = {
     "bell_ogf_coefficients": "series",
     "bell_with_leading_one": "transforms",
     "binomial_transform": "transforms",
-    "build_diff_table": "triangle",
-    "column_transition_check": "todd",
     "fallshift": "powersum",
     "fit_column_polynomial": "todd",
     "integral_basis": "powersum",
@@ -31,7 +29,6 @@ _SOURCES = {
     "power_sum": "powersum",
     "power_sum_naive": "powersum",
     "row_sums": "transforms",
-    "subgrid_check": "todd",
     "todd_column": "todd",
     "todd_finite_difference": "todd",
     "todd_recurrence": "todd",

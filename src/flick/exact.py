@@ -1,5 +1,5 @@
-"""Exact integer division, check-result plumbing and the grow-on-demand row
-table shared across modules.
+"""Exact integer division and the grow-on-demand row table shared across
+modules.
 
 Every identity in this package is supposed to hold in plain integers.  A
 division that leaves a remainder therefore never means "round it" -- it means
@@ -10,7 +10,6 @@ loud failure at the exact spot.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Callable
 
 
@@ -24,27 +23,6 @@ def exact_div(a: int, b: int) -> int:
     if r:
         raise InexactDivisionError(f"{a} is not divisible by {b}")
     return q
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of an exhaustive identity check.
-
-    Truthy iff the check passed; on failure `counterexample` holds the first
-    offending index tuple (plus the mismatching values), led by a short label
-    where a check can fail in more than one way.
-    """
-
-    ok: bool
-    counterexample: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __repr__(self) -> str:
-        if self.ok:
-            return "CheckResult(ok=True)"
-        return f"CheckResult(ok=False, counterexample={self.counterexample!r})"
 
 
 class _StepTable:

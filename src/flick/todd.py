@@ -21,10 +21,9 @@ import math
 import threading
 from dataclasses import dataclass
 
-from .exact import CheckResult, exact_div
+from .exact import exact_div
 from .series import PolyZ
 from .stirling import _odd_slot_difference, _odd_slot_stirling
-from .triangle import triangle_entry_recurrence
 
 __all__ = [
     "ToddGrid",
@@ -34,8 +33,6 @@ __all__ = [
     "todd_stirling",
     "todd_row",
     "todd_column",
-    "subgrid_check",
-    "column_transition_check",
     "base_poly",
     "fit_column_polynomial",
 ]
@@ -143,28 +140,6 @@ def todd_column(k: int, count: int) -> list[int]:
     if k < 1 or count < 1:
         raise ValueError("need k >= 1 and count >= 1")
     return _GRID.column(k, count)
-
-
-def subgrid_check(m_max: int, k_max: int) -> CheckResult:
-    """Verify Todd(m, k) = T(2m+k-2, 2m-1) on the given rectangle."""
-    for m in range(1, m_max + 1):
-        for k in range(1, k_max + 1):
-            todd = todd_recurrence(m, k)
-            tri = triangle_entry_recurrence(2 * m + k - 2, 2 * m - 1)
-            if todd != tri:
-                return CheckResult(False, (m, k, todd, tri))
-    return CheckResult(True)
-
-
-def column_transition_check(n_max: int, m_max: int) -> CheckResult:
-    """Verify Todd(n, 2m+1) - Todd(n-1, 2m+1) = n^2 * Todd(n, 2m-1)."""
-    for m in range(1, m_max + 1):
-        for n in range(2, n_max + 1):
-            lhs = todd_recurrence(n, 2 * m + 1) - todd_recurrence(n - 1, 2 * m + 1)
-            rhs = n * n * todd_recurrence(n, 2 * m - 1)
-            if lhs != rhs:
-                return CheckResult(False, (n, m, lhs, rhs))
-    return CheckResult(True)
 
 
 def base_poly(m: int) -> PolyZ:

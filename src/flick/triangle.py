@@ -1,12 +1,12 @@
 """The flickering triangle T(n, k) (OEIS A395021), by two independent routes.
 
-Route one reads the triangle straight out of a finite difference table: take
+Route one reads the triangle straight out of finite differences: take
 f(j) = j^n on a symmetric window, difference it k times, pick the central slot
 (which flickers between a half-integer and an integer offset with the parity
 of k) and normalize by k!.
 
-Route two never touches a difference table.  It is an autonomous recurrence
-driven by the parities of n and k:
+Route two never takes a difference.  It is an autonomous recurrence driven by
+the parities of n and k:
 
     even k, odd n:   T(n, k) = 0
     even k, even n:  T(n, k) = (2 / k) * T(n, k - 1)
@@ -26,30 +26,11 @@ from dataclasses import dataclass
 from .exact import _StepTable, exact_div
 
 __all__ = [
-    "DiffTable",
     "FlickerTriangle",
-    "build_diff_table",
     "triangle_row_extraction",
     "triangle_entry_recurrence",
     "triangle_rows",
 ]
-
-
-@dataclass(frozen=True)
-class DiffTable:
-    """Forward-difference pyramid of f(j) = j^power on j = -(power+2) .. power+2.
-
-    levels[0] is the raw window; levels[k][i] = levels[k-1][i+1] - levels[k-1][i].
-    """
-
-    power: int
-    values: list[int]
-    levels: list[list[int]]
-
-    def central_slot(self, k: int) -> int:
-        """Signed central difference of order k (len // 2 slot of level k)."""
-        level = self.levels[k]
-        return level[len(level) // 2]
 
 
 @dataclass(frozen=True)
@@ -72,25 +53,6 @@ class FlickerTriangle:
         return len(self.rows)
 
 
-def build_diff_table(power: int) -> DiffTable:
-    """Difference pyramid of j^power, levels 0..power.
-
-    The window j = -(power+2) .. power+2 is a padded one: the smallest
-    symmetric window for which every central slot up to order `power` exists
-    is j = -ceil(power/2) .. ceil(power/2).  The padding is kept for the
-    level lengths the triangle tour demo prints and for the difference-table
-    check in `flick.verify`.
-    """
-    if power < 1:
-        raise ValueError(f"power must be >= 1, got {power}")
-    values = [j**power for j in range(-(power + 2), power + 3)]
-    levels = [values]
-    for _ in range(power):
-        prev = levels[-1]
-        levels.append([prev[i + 1] - prev[i] for i in range(len(prev) - 1)])
-    return DiffTable(power=power, values=values, levels=levels)
-
-
 def triangle_row_extraction(n: int) -> list[int]:
     """Row n of the triangle by central extraction: |central diff| / k!.
 
@@ -103,7 +65,7 @@ def triangle_row_extraction(n: int) -> list[int]:
     level is kept.
     """
     if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {n}")
     half = (n + 1) // 2
     level = [j**n for j in range(-half, half + 1)]
     row = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -24,13 +25,8 @@ from typing import Callable, Iterator
 # (bench/layers.py) wraps it there, possibly after this module is imported.
 from . import powersum
 from .bfile import format_bfile, parse_bfile
-from .exact import CheckResult, exact_div
-from .powersum import (
-    expand_power_check,
-    integral_basis,
-    lemma_difference_check,
-    power_sum_naive,
-)
+from .exact import exact_div
+from .powersum import fallshift, integral_basis, power_sum_naive
 from .series import (
     SeriesQ,
     bell_closed_form,
@@ -41,9 +37,7 @@ from .series import (
 )
 from .stirling import a008957_fd, a008957_stirling, stirling2
 from .todd import (
-    column_transition_check,
     fit_column_polynomial,
-    subgrid_check,
     todd_column,
     todd_finite_difference,
     todd_recurrence,
@@ -59,9 +53,10 @@ from .transforms import (
     kernel,
     row_sums,
 )
-from .triangle import build_diff_table, triangle_entry_recurrence, triangle_rows
+from .triangle import triangle_entry_recurrence, triangle_rows
 
 __all__ = [
+    "CheckResult",
     "run_suite",
     "REFERENCE_TABLE",
     "REFERENCE_COLUMNS",
@@ -101,6 +96,28 @@ REFERENCE_KERNELS = {
     6: [1, -5, 26, -142, 821, -5039, 32709],
     8: [1, -7, 50, -366, 2757, -21441, 172421],
 }
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one check.
+
+    Truthy iff the check passed; on failure `counterexample` holds the first
+    offending index tuple (plus the mismatching values), led by a short label
+    where a check can fail in more than one way.
+    """
+
+    ok: bool
+    counterexample: tuple | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+    def __repr__(self) -> str:
+        if self.ok:
+            return "CheckResult(ok=True)"
+        return f"CheckResult(ok=False, counterexample={self.counterexample!r})"
+
 
 Check = Callable[[], CheckResult]
 
@@ -156,24 +173,15 @@ def _check_collapse():
             yield n, k, triangle.entry(n, k), triangle.entry(n - 1, k - 1)
 
 
-def _check_power_expansion() -> CheckResult:
-    for m in range(1, 26):
-        result = expand_power_check(m, range(-10, 11))
-        if not result:
-            return result
-    return CheckResult(True)
-
-
 @_cases
-def _check_diff_table():
-    for power in range(1, 21):
-        table = build_diff_table(power)
-        yield "level 0", power, table.levels[0], table.values
-        for k in range(1, power + 1):
-            level, prev = table.levels[k], table.levels[k - 1]
-            yield "length", power, k, len(level), len(table.values) - k
-            for i, value in enumerate(level):
-                yield "value", power, k, i, value, prev[i + 1] - prev[i]
+def _check_power_expansion():
+    for m in range(1, 26):
+        coeffs = [triangle_entry_recurrence(m, k) for k in range(1, m + 1)]
+        for n in range(-10, 11):
+            expanded = sum(
+                c * fallshift(n, k) for k, c in enumerate(coeffs, start=1) if c
+            )
+            yield m, n, expanded, n**m
 
 
 @_cases
@@ -185,12 +193,20 @@ def _check_todd_methods():
             yield "stirling sum", n, k, todd_stirling(n, k), r
 
 
-def _check_subgrid() -> CheckResult:
-    return subgrid_check(8, 10)
+@_cases
+def _check_subgrid():
+    for m in range(1, 9):
+        for k in range(1, 11):
+            tri = triangle_entry_recurrence(2 * m + k - 2, 2 * m - 1)
+            yield m, k, todd_recurrence(m, k), tri
 
 
-def _check_transition() -> CheckResult:
-    return column_transition_check(30, 6)
+@_cases
+def _check_transition():
+    for m in range(1, 7):
+        for n in range(2, 31):
+            lhs = todd_recurrence(n, 2 * m + 1) - todd_recurrence(n - 1, 2 * m + 1)
+            yield n, m, lhs, n * n * todd_recurrence(n, 2 * m - 1)
 
 
 @_cases
@@ -370,12 +386,12 @@ def _check_telescoping():
             yield k, n, total, integral_basis(n, k + 1)
 
 
-def _check_lemma() -> CheckResult:
+@_cases
+def _check_lemma():
     for k in range(1, 13):
-        result = lemma_difference_check(k, range(-20, 21))
-        if not result:
-            return result
-    return CheckResult(True)
+        for j in range(-20, 21):
+            lhs = integral_basis(j, k + 1) - integral_basis(j - 1, k + 1)
+            yield k, j, lhs, (k + 1) * fallshift(j, k)
 
 
 def _random_series(rng: random.Random, order: int) -> SeriesQ:
@@ -447,7 +463,6 @@ _CHECKS: list[tuple[str, Check]] = [
     ("triangle: zeros exactly at even k, odd n, 1 < k < n", _check_zero_pattern),
     ("triangle: T(n, k) = T(n-1, k-1) for even n, even k", _check_collapse),
     ("triangle: n^m expands over the fallshift basis", _check_power_expansion),
-    ("difference table: level lengths and recurrence", _check_diff_table),
     ("todd: recurrence == finite difference == stirling sum", _check_todd_methods),
     ("todd: sub-grid of the triangle at odd columns", _check_subgrid),
     (

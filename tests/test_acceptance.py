@@ -12,10 +12,9 @@ import time
 from collections.abc import Sequence
 
 from flick.cli import main as cli_main
-from flick.exact import CheckResult
 from flick.powersum import power_sum, power_sum_naive
 from flick.triangle import triangle_rows
-from flick.verify import _CHECKS
+from flick.verify import _CHECKS, CheckResult
 
 TRIANGLE_ROWS_1_TO_10 = [
     [1],

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,14 @@ def _run(source: str, *argv: str) -> subprocess.CompletedProcess:
 
 
 _CLI = {"flick", "flick.cli", "flick.exact", "flick.triangle"}
+_TODD = {
+    "flick",
+    "flick.cli",
+    "flick.exact",
+    "flick.series",
+    "flick.stirling",
+    "flick.todd",
+}
 _EVERY = _CLI | {
     "flick.bfile",
     "flick.powersum",
@@ -66,9 +75,22 @@ _EVERY = _CLI | {
         (["powersum", "5", "10"], _CLI | {"flick.powersum"}),
         (["bell", "--count", "5"], _CLI | {"flick.transforms"}),
         (["bell", "--kernels", "2", "--count", "5"], _CLI | {"flick.transforms"}),
+        (["todd", "--rows", "2", "--cols", "2"], _TODD),
+        (["row", "2", "--count", "3"], _TODD),
+        (["col", "3", "--count", "3"], _TODD),
         (["verify"], _EVERY),
     ],
-    ids=["triangle", "triangle-json", "powersum", "bell", "bell-kernels", "verify"],
+    ids=[
+        "triangle",
+        "triangle-json",
+        "powersum",
+        "bell",
+        "bell-kernels",
+        "todd",
+        "row",
+        "col",
+        "verify",
+    ],
 )
 def test_command_imports_only_what_it_runs(argv, modules):
     proc = _run(_RUN_COMMAND, *argv)
@@ -86,6 +108,13 @@ def test_every_export_is_its_submodule_object():
         value = getattr(flick, name)
         assert value.__module__.startswith("flick.")
         assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+def test_every_submodule_export_exists():
+    for info in pkgutil.iter_modules(flick.__path__, "flick."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.__all__ names {name!r}"
 
 
 def test_star_import_binds_every_export():

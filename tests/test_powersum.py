@@ -17,10 +17,8 @@ from faulhaber import faulhaber_sum
 from flick.exact import InexactDivisionError
 from flick.powersum import (
     PowerSumResult,
-    expand_power_check,
     fallshift,
     integral_basis,
-    lemma_difference_check,
     power_sum,
     power_sum_naive,
 )
@@ -72,30 +70,11 @@ class TestExpansion:
         # row (1, 0, 1): 5 + (4*5*6) = 125
         assert fallshift(5, 1) + fallshift(5, 3) == 125
 
-    def test_expand_power_check(self):
-        assert expand_power_check(1, range(-10, 11))
-        assert expand_power_check(3, [5])
-        result = expand_power_check(25, range(-10, 11))
-        assert result
-        assert result.counterexample is None
-
-    def test_all_rows_to_25(self):
-        for m in range(1, 26):
-            assert expand_power_check(m, range(-10, 11))
-
-    def test_rejects_m_zero(self):
-        with pytest.raises(ValueError):
-            expand_power_check(0, [1])
-
 
 class TestDifferenceLemma:
     def test_hand_values(self):
         assert integral_basis(4, 2) - integral_basis(3, 2) == 8 == 2 * fallshift(4, 1)
         assert integral_basis(1, 3) - integral_basis(0, 3) == 0 == 3 * fallshift(1, 2)
-
-    def test_full_range(self):
-        for k in range(1, 13):
-            assert lemma_difference_check(k, range(-20, 21))
 
     def test_telescoping(self):
         for k in range(1, 11):

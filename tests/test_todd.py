@@ -12,9 +12,7 @@ from flick.todd import (
     ToddGrid,
     _newton_polynomial,
     base_poly,
-    column_transition_check,
     fit_column_polynomial,
-    subgrid_check,
     todd_column,
     todd_finite_difference,
     todd_recurrence,
@@ -141,16 +139,12 @@ def test_grid_antidiagonal_reads_the_grade_line():
 def test_subgrid_identity():
     assert todd_recurrence(2, 1) == triangle_entry_recurrence(3, 3) == 1
     assert todd_recurrence(2, 6) == triangle_entry_recurrence(8, 3) == 42
-    result = subgrid_check(8, 10)
-    assert result
-    assert result.counterexample is None
 
 
 def test_column_transition_rule():
     assert todd_recurrence(2, 3) - todd_recurrence(1, 3) == 4 == 4 * todd_recurrence(2, 1)
     assert todd_recurrence(5, 3) - todd_recurrence(4, 3) == 25
     assert todd_recurrence(3, 5) - todd_recurrence(2, 5) == 126 == 9 * todd_recurrence(3, 3)
-    assert column_transition_check(30, 6)
 
 
 def test_base_poly():

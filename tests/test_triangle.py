@@ -12,7 +12,6 @@ from flick.exact import InexactDivisionError, _StepTable, exact_div
 from flick.stirling import _next_s2_row
 from flick.triangle import (
     _next_row,
-    build_diff_table,
     triangle_entry_recurrence,
     triangle_row_extraction,
     triangle_rows,
@@ -54,30 +53,9 @@ def test_exact_div():
         exact_div(85, 6)
 
 
-def test_diff_table_window_and_levels():
-    table = build_diff_table(4)
-    assert table.values == [j**4 for j in range(-6, 7)]
-    assert len(table.levels) == 5
-    assert table.levels[0] == table.values
-    for k in range(1, 5):
-        level, prev = table.levels[k], table.levels[k - 1]
-        assert len(level) == len(table.values) - k
-        assert level == [prev[i + 1] - prev[i] for i in range(len(prev) - 1)]
-
-
-def test_diff_table_first_difference_of_identity_is_ones():
-    table = build_diff_table(1)
-    assert set(table.levels[1]) == {1}
-
-
-def test_diff_table_kth_difference_of_kth_power_is_factorial():
-    table = build_diff_table(3)
-    assert set(table.levels[3]) == {6}
-
-
-def test_diff_table_rejects_power_zero():
-    with pytest.raises(ValueError):
-        build_diff_table(0)
+def test_extraction_rejects_row_zero():
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        triangle_row_extraction(0)
 
 
 def test_extraction_of_row_six():

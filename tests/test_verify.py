@@ -1,0 +1,36 @@
+"""The identity checks of `flick verify` read their inputs from `flick.verify`
+itself, so a fault planted there is reported as the check's first
+counterexample."""
+
+from __future__ import annotations
+
+import pytest
+
+import flick.verify
+from flick.verify import CheckResult
+
+
+def _off_by_one_at(fn, cell):
+    return lambda *args: fn(*args) + (args == cell)
+
+
+@pytest.mark.parametrize(
+    "check, binding, cell, counterexample",
+    [
+        # (m, n, expanded, n^m): 3^2 = fallshift(3, 1) + fallshift(3, 2) = 3 + 6.
+        ("_check_power_expansion", "fallshift", (3, 2), (2, 3, 10, 9)),
+        # (k, j, lhs, rhs): I_3(3) - I_3(2) = 24 - 6 = 3 * fallshift(3, 2).
+        ("_check_lemma", "fallshift", (3, 2), (2, 3, 18, 21)),
+        # (m, k, todd, tri): Todd(2, 3) = T(5, 3) = 5.
+        ("_check_subgrid", "todd_recurrence", (2, 3), (2, 3, 6, 5)),
+        # (n, m, lhs, rhs): Todd(2, 3) - Todd(1, 3) = 5 - 1 = 2^2 * Todd(2, 1).
+        ("_check_transition", "todd_recurrence", (2, 3), (2, 1, 5, 4)),
+    ],
+    ids=["power-expansion", "lemma", "subgrid", "transition"],
+)
+def test_identity_check_reports_its_first_counterexample(
+    monkeypatch, check, binding, cell, counterexample
+):
+    fn = getattr(flick.verify, binding)
+    monkeypatch.setattr(flick.verify, binding, _off_by_one_at(fn, cell))
+    assert getattr(flick.verify, check)() == CheckResult(False, counterexample)
