@@ -1,10 +1,11 @@
 """The full cross-check suite: every structural identity the package claims,
 each a named check in `_CHECKS`, reported as one pass/fail line by the CLI.
 
-Every check runs at fixed bounds and returns a `CheckResult`; a failed one
-carries the first counterexample as a tuple of indices and values, led by a
-short label where the check can fail in more than one way.  A check that
-raises `ArithmeticError` fails as ("raised", exception class, message).
+A check is a generator of cases (..., got, want) at fixed bounds, added to the
+suite by `@_check(name)`.  It fails at its first case with got != want, and
+that case, a tuple of indices and values led by a short label where the check
+can fail in more than one way, is its counterexample.  A check that raises
+`ArithmeticError` fails as ("raised", exception class, message).
 
 Reference prefixes (the array corner, the named column prefixes, the Bell
 prefix, the transform kernels) are frozen here as data, and this is their only
@@ -14,10 +15,8 @@ recomputation along an independent route.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -56,7 +55,6 @@ from .transforms import (
 from .triangle import triangle_entry_recurrence, triangle_rows
 
 __all__ = [
-    "CheckResult",
     "run_suite",
     "REFERENCE_TABLE",
     "REFERENCE_COLUMNS",
@@ -73,16 +71,10 @@ REFERENCE_TABLE = [
     [1, 5, 55, 275, 2002, 10010, 61490, 307450],
 ]
 
-# First five entries of columns k = 1..9.
+# First five entries of columns k = 1..9: those of the corner above, and
+# column 9.
 REFERENCE_COLUMNS = {
-    1: [1, 1, 1, 1, 1],
-    2: [1, 2, 3, 4, 5],
-    3: [1, 5, 14, 30, 55],
-    4: [1, 10, 42, 120, 275],
-    5: [1, 21, 147, 627, 2002],
-    6: [1, 42, 441, 2508, 10010],
-    7: [1, 85, 1408, 11440, 61490],
-    8: [1, 170, 4224, 45760, 307450],
+    **{k: list(column) for k, column in enumerate(zip(*REFERENCE_TABLE), start=1)},
     9: [1, 341, 13013, 196053, 1733303],
 }
 
@@ -90,7 +82,7 @@ REFERENCE_BELL = [1, 2, 2, 5, 7, 21, 37, 126, 264, 1001]
 
 # Kernel of the q-fold inverse binomial transform, first seven terms.
 REFERENCE_KERNELS = {
-    0: [1, 1, 2, 2, 5, 7, 21],
+    0: [1] + REFERENCE_BELL[:6],
     2: [1, -1, 2, -6, 21, -75, 269],
     4: [1, -3, 10, -38, 165, -797, 4125],
     6: [1, -5, 26, -142, 821, -5039, 32709],
@@ -98,48 +90,22 @@ REFERENCE_KERNELS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one check.
-
-    Truthy iff the check passed; on failure `counterexample` holds the first
-    offending index tuple (plus the mismatching values), led by a short label
-    where a check can fail in more than one way.
-    """
-
-    ok: bool
-    counterexample: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __repr__(self) -> str:
-        if self.ok:
-            return "CheckResult(ok=True)"
-        return f"CheckResult(ok=False, counterexample={self.counterexample!r})"
+# The suite in the order `flick verify` reports it: `@_check(name)` appends
+# each check here as it is defined.
+_CHECKS: list[tuple[str, Callable[[], Iterator[tuple]]]] = []
 
 
-Check = Callable[[], CheckResult]
+def _check(name: str):
+    """Add a generator of cases (..., got, want) to the suite under `name`."""
+
+    def register(generate: Callable[[], Iterator[tuple]]):
+        _CHECKS.append((name, generate))
+        return generate
+
+    return register
 
 
-def _cases(generate: Callable[[], Iterator[tuple]]) -> Check:
-    """Turn a generator of cases (..., got, want) into a check.
-
-    The check passes unless some case has got != want; the first such case is
-    its counterexample.  Cases are drawn lazily, so it stops there.
-    """
-
-    @functools.wraps(generate)
-    def check() -> CheckResult:
-        for case in generate():
-            if case[-2] != case[-1]:
-                return CheckResult(False, case)
-        return CheckResult(True)
-
-    return check
-
-
-@_cases
+@_check("triangle: extraction == recurrence")
 def _check_triangle_methods():
     by_extraction = triangle_rows(60, method="extraction")
     by_recurrence = triangle_rows(60, method="recurrence")
@@ -147,16 +113,17 @@ def _check_triangle_methods():
         yield n, by_extraction.row(n), by_recurrence.row(n)
 
 
-def _check_triangle_integrality() -> CheckResult:
+@_check("triangle: recurrence divisions exact, entries nonnegative")
+def _check_triangle_integrality():
+    # Case (n, k, T(n, k) >= 0, True); an inexact division in the
+    # recurrence raises, and fails the check as ("raised", ...).
     triangle = triangle_rows(200, method="recurrence")
     for n in range(1, 201):
         for k, value in enumerate(triangle.row(n), start=1):
-            if value < 0:
-                return CheckResult(False, ("negative", n, k, value))
-    return CheckResult(True)
+            yield n, k, value >= 0, True
 
 
-@_cases
+@_check("triangle: zeros exactly at even k, odd n, 1 < k < n")
 def _check_zero_pattern():
     # Case (n, k, T(n, k) == 0, whether T(n, k) should be 0).
     triangle = triangle_rows(200, method="recurrence")
@@ -165,7 +132,7 @@ def _check_zero_pattern():
             yield n, k, value == 0, k % 2 == 0 and n % 2 == 1 and 1 < k < n
 
 
-@_cases
+@_check("triangle: T(n, k) = T(n-1, k-1) for even n, even k")
 def _check_collapse():
     triangle = triangle_rows(200, method="recurrence")
     for n in range(4, 201, 2):
@@ -173,7 +140,7 @@ def _check_collapse():
             yield n, k, triangle.entry(n, k), triangle.entry(n - 1, k - 1)
 
 
-@_cases
+@_check("triangle: n^m expands over the fallshift basis")
 def _check_power_expansion():
     for m in range(1, 26):
         coeffs = [triangle_entry_recurrence(m, k) for k in range(1, m + 1)]
@@ -184,7 +151,7 @@ def _check_power_expansion():
             yield m, n, expanded, n**m
 
 
-@_cases
+@_check("todd: recurrence == finite difference == stirling sum")
 def _check_todd_methods():
     for n in range(1, 9):
         for k in range(1, 11):
@@ -193,7 +160,7 @@ def _check_todd_methods():
             yield "stirling sum", n, k, todd_stirling(n, k), r
 
 
-@_cases
+@_check("todd: sub-grid of the triangle at odd columns")
 def _check_subgrid():
     for m in range(1, 9):
         for k in range(1, 11):
@@ -201,7 +168,7 @@ def _check_subgrid():
             yield m, k, todd_recurrence(m, k), tri
 
 
-@_cases
+@_check("todd: column transition Todd(n,2m+1) - Todd(n-1,2m+1) = n^2 Todd(n,2m-1)")
 def _check_transition():
     for m in range(1, 7):
         for n in range(2, 31):
@@ -209,26 +176,26 @@ def _check_transition():
             yield n, m, lhs, n * n * todd_recurrence(n, 2 * m - 1)
 
 
-@_cases
+@_check("todd: rows 1-5 x columns 1-8 match the reference corner")
 def _check_reference_rows():
     for n, expected in enumerate(REFERENCE_TABLE, start=1):
         yield n, todd_row(n, 8), expected
 
 
-@_cases
+@_check("todd: columns 1-9 match the reference prefixes")
 def _check_reference_columns():
     for k, expected in REFERENCE_COLUMNS.items():
         yield k, todd_column(k, 5), expected
 
 
-@_cases
+@_check("columns: fitted (P_1, D_1) = (1, 6) and (P_2, D_2) = (5n-1, 360)")
 def _check_fit_exact():
     for m, expected in ((1, ([1], 6)), (2, ([-1, 5], 360))):
         fit = fit_column_polynomial(m)
         yield m, (list(fit.u_numerator.coeffs), fit.denominator), expected
 
 
-@_cases
+@_check("columns: fit reproduces 20 held-out values for m <= 5")
 def _check_fit_heldout():
     # 20 values of each column past the samples its fit was made from.
     for m in range(1, 6):
@@ -237,7 +204,7 @@ def _check_fit_heldout():
             yield m, n, fit.todd_value(n), todd_recurrence(n, 2 * m + 1)
 
 
-@_cases
+@_check("columns: factorizations satisfy the transition recurrence")
 def _check_fit_residual():
     # Seed with column 1 (all ones); each fitted column must then satisfy
     # fit_m(n) - fit_m(n-1) = n^2 * fit_{m-1}(n).
@@ -250,20 +217,20 @@ def _check_fit_residual():
         prev_value = fit.todd_value
 
 
-@_cases
+@_check("genfunc: full-row series match todd rows")
 def _check_gf_full():
     for n in range(1, 7):
         yield n, expand_rational(row_gf_full(n), 21), [0] + todd_row(n, 20)
 
 
-@_cases
+@_check("genfunc: odd-slot series match odd todd columns")
 def _check_gf_odd():
     for n in range(1, 7):
         expected = [0] + [todd_recurrence(n, 2 * k - 1) for k in range(1, 11)]
         yield n, expand_rational(row_gf_odd(n), 11), expected
 
 
-@_cases
+@_check("bell: row sums == anti-diagonals == OGF == closed form")
 def _check_bell_routes():
     sums = row_sums(24)
     yield "anti-diagonals", antidiagonal_sums(24), sums
@@ -272,12 +239,12 @@ def _check_bell_routes():
         yield "closed form", n, bell_closed_form(n), sums.values[n - 1]
 
 
-@_cases
+@_check("bell: first ten terms match the reference list")
 def _check_bell_prefix():
     yield row_sums(10).values, REFERENCE_BELL
 
 
-@_cases
+@_check("transforms: inverse(transform) is the identity")
 def _check_binomial_inverse():
     rng = random.Random(395021)
     for length in range(1, 31):
@@ -288,7 +255,7 @@ def _check_binomial_inverse():
         yield "forward", length, back_and_there, seq
 
 
-@_cases
+@_check("transforms: kernels match references and transform back")
 def _check_kernels():
     for q, expected in REFERENCE_KERNELS.items():
         yield "reference", q, kernel(q, 7).values, expected
@@ -304,7 +271,7 @@ def _check_kernels():
         yield "forward", q, seq, reference
 
 
-@_cases
+@_check("transforms: kernels alternate in sign from index 1 (q >= 2)")
 def _check_kernel_signs():
     # Case (q, i, sign of the kernel's term i, (-1)^i).
     for q in (2, 4, 6, 8):
@@ -331,7 +298,7 @@ def _partition_block_counts(n: int) -> dict[int, int]:
     return counts
 
 
-@_cases
+@_check("stirling2: matches brute-force set-partition counts")
 def _check_stirling_oracle():
     for n in range(1, 9):
         counts = _partition_block_counts(n)
@@ -339,7 +306,7 @@ def _check_stirling_oracle():
             yield n, k, stirling2(n, k), counts.get(k, 0)
 
 
-@_cases
+@_check("a008957: both closed forms equal the triangle slice")
 def _check_a008957():
     for n in range(1, 16):
         for k in range(1, n + 1):
@@ -350,7 +317,7 @@ def _check_a008957():
             yield "positive", n, k, fd > 0, True
 
 
-@_cases
+@_check("powersum: (k+1)! divides the integral basis")
 def _check_divisibility():
     # Case (n, k, I_{k+1}(n) mod (k+1)!, 0).
     for k in range(1, 16):
@@ -359,14 +326,14 @@ def _check_divisibility():
             yield n, k, integral_basis(n, k + 1) % fact, 0
 
 
-@_cases
+@_check("powersum: basis method equals the naive oracle")
 def _check_oracle_grid():
     for m in range(1, 31):
         for n in [*range(1, 101), 10**3, 10**4]:
             yield m, n, powersum.power_sum(m, n).value, power_sum_naive(m, n)
 
 
-@_cases
+@_check("powersum: classical closed forms for m = 1, 2, 3")
 def _check_closed_forms():
     # Case (m, n, c * S_m(n), the classical closed form times c).
     for n in range(1, 201):
@@ -375,7 +342,7 @@ def _check_closed_forms():
         yield 3, n, powersum.power_sum(3, n).value * 4, (n * (n + 1)) ** 2
 
 
-@_cases
+@_check("powersum: basis differences telescope to the endpoint")
 def _check_telescoping():
     for k in range(1, 11):
         for n in range(1, 51):
@@ -386,7 +353,7 @@ def _check_telescoping():
             yield k, n, total, integral_basis(n, k + 1)
 
 
-@_cases
+@_check("powersum: difference lemma for the flickering basis")
 def _check_lemma():
     for k in range(1, 13):
         for j in range(-20, 21):
@@ -401,7 +368,7 @@ def _random_series(rng: random.Random, order: int) -> SeriesQ:
     return SeriesQ(coeffs, order)
 
 
-@_cases
+@_check("series: product is associative and has a unit (mod truncation)")
 def _check_series_algebra():
     rng = random.Random(394582)
     for trial in range(40):
@@ -413,7 +380,7 @@ def _check_series_algebra():
         yield "unit", trial, f * SeriesQ.one(order), f
 
 
-@_cases
+@_check("bfile: format/parse round trip")
 def _check_bfile_roundtrip():
     cases = [
         (row_sums(12).values, 1),
@@ -424,14 +391,13 @@ def _check_bfile_roundtrip():
         yield offset, parse_bfile(format_bfile(values, offset)), (offset, values)
 
 
-@_cases
+@_check("todd: row 2 is A000975, floor(2^(k+1)/3)")
 def _check_todd_row_2():
-    # Todd row 2 is A000975, floor(2^(k+1) / 3).
     for k, value in enumerate(todd_row(2, 60), start=1):
         yield k, value, 2 ** (k + 1) // 3
 
 
-@_cases
+@_check("todd: row 3 odd slots are A002451, each even slot 3x the odd before it")
 def _check_todd_row_3():
     # Slot 2j+1 is h_j(1, 4, 9), the coefficient of x^j in
     # 1/((1-x)(1-4x)(1-9x)) (A002451), here by partial fractions.
@@ -442,7 +408,7 @@ def _check_todd_row_3():
         yield "even", 2 * j + 2, row[2 * j + 1], 3 * row[2 * j]
 
 
-@_cases
+@_check("triangle: odd slots of row 2n-1 are row n of A036969")
 def _check_a036969():
     triangle = triangle_rows(79, method="recurrence")
     row = [1]  # row n of A036969, A(n, k) for k = 1..n
@@ -453,73 +419,25 @@ def _check_a036969():
         row = [padded[k - 1] + k * k * padded[k] for k in range(1, n + 2)]
 
 
-# The suite in the order `flick verify` reports it.
-_CHECKS: list[tuple[str, Check]] = [
-    ("triangle: extraction == recurrence", _check_triangle_methods),
-    (
-        "triangle: recurrence divisions exact, entries nonnegative",
-        _check_triangle_integrality,
-    ),
-    ("triangle: zeros exactly at even k, odd n, 1 < k < n", _check_zero_pattern),
-    ("triangle: T(n, k) = T(n-1, k-1) for even n, even k", _check_collapse),
-    ("triangle: n^m expands over the fallshift basis", _check_power_expansion),
-    ("todd: recurrence == finite difference == stirling sum", _check_todd_methods),
-    ("todd: sub-grid of the triangle at odd columns", _check_subgrid),
-    (
-        "todd: column transition Todd(n,2m+1) - Todd(n-1,2m+1) = n^2 Todd(n,2m-1)",
-        _check_transition,
-    ),
-    (
-        "todd: rows 1-5 x columns 1-8 match the reference corner",
-        _check_reference_rows,
-    ),
-    ("todd: columns 1-9 match the reference prefixes", _check_reference_columns),
-    (
-        "columns: fitted (P_1, D_1) = (1, 6) and (P_2, D_2) = (5n-1, 360)",
-        _check_fit_exact,
-    ),
-    ("columns: fit reproduces 20 held-out values for m <= 5", _check_fit_heldout),
-    ("columns: factorizations satisfy the transition recurrence", _check_fit_residual),
-    ("genfunc: full-row series match todd rows", _check_gf_full),
-    ("genfunc: odd-slot series match odd todd columns", _check_gf_odd),
-    ("bell: row sums == anti-diagonals == OGF == closed form", _check_bell_routes),
-    ("bell: first ten terms match the reference list", _check_bell_prefix),
-    ("transforms: inverse(transform) is the identity", _check_binomial_inverse),
-    ("transforms: kernels match references and transform back", _check_kernels),
-    (
-        "transforms: kernels alternate in sign from index 1 (q >= 2)",
-        _check_kernel_signs,
-    ),
-    ("stirling2: matches brute-force set-partition counts", _check_stirling_oracle),
-    ("a008957: both closed forms equal the triangle slice", _check_a008957),
-    ("powersum: (k+1)! divides the integral basis", _check_divisibility),
-    ("powersum: basis method equals the naive oracle", _check_oracle_grid),
-    ("powersum: classical closed forms for m = 1, 2, 3", _check_closed_forms),
-    ("powersum: basis differences telescope to the endpoint", _check_telescoping),
-    ("powersum: difference lemma for the flickering basis", _check_lemma),
-    (
-        "series: product is associative and has a unit (mod truncation)",
-        _check_series_algebra,
-    ),
-    ("bfile: format/parse round trip", _check_bfile_roundtrip),
-    ("todd: row 2 is A000975, floor(2^(k+1)/3)", _check_todd_row_2),
-    (
-        "todd: row 3 odd slots are A002451, each even slot 3x the odd before it",
-        _check_todd_row_3,
-    ),
-    ("triangle: odd slots of row 2n-1 are row n of A036969", _check_a036969),
-]
+def _first_counterexample(check: Callable[[], Iterator[tuple]]) -> tuple | None:
+    """The first case (..., got, want) of `check` with got != want, or None.
 
-
-def _run(check: Check) -> CheckResult:
-    # An inexact division or any other arithmetic fault fails this check
-    # alone; the rest of the suite still runs and reports.
+    Cases are drawn lazily, so the check stops there.  An inexact division or
+    any other arithmetic fault fails this check alone, as ("raised", exception
+    class, message); the rest of the suite still runs and reports.
+    """
     try:
-        return check()
+        for case in check():
+            if case[-2] != case[-1]:
+                return case
     except ArithmeticError as exc:
-        return CheckResult(False, ("raised", type(exc).__name__, str(exc)))
+        return ("raised", type(exc).__name__, str(exc))
+    return None
 
 
-def run_suite() -> list[tuple[str, CheckResult]]:
-    """Run every check of `_CHECKS` in order; return (name, result) pairs."""
-    return [(name, _run(check)) for name, check in _CHECKS]
+def run_suite() -> list[tuple[str, tuple | None]]:
+    """Run every check of `_CHECKS` in order.
+
+    Returns (name, counterexample or None) pairs.
+    """
+    return [(name, _first_counterexample(check)) for name, check in _CHECKS]

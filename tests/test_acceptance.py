@@ -14,35 +14,23 @@ from collections.abc import Sequence
 from flick.cli import main as cli_main
 from flick.powersum import power_sum, power_sum_naive
 from flick.triangle import triangle_rows
-from flick.verify import _CHECKS, CheckResult
-
-TRIANGLE_ROWS_1_TO_10 = [
-    [1],
-    [1, 1],
-    [1, 0, 1],
-    [1, 1, 2, 1],
-    [1, 0, 5, 0, 1],
-    [1, 1, 10, 5, 3, 1],
-    [1, 0, 21, 0, 14, 0, 1],
-    [1, 1, 42, 21, 42, 14, 4, 1],
-    [1, 0, 85, 0, 147, 0, 30, 0, 1],
-    [1, 1, 170, 85, 441, 147, 120, 30, 5, 1],
-]
+from flick.verify import _CHECKS, _first_counterexample
+from test_triangle import ROWS_1_TO_10
 
 
 def _report(
-    label: str, results: Sequence[tuple[str, CheckResult]] = (), ok: bool = True
+    label: str, results: Sequence[tuple[str, tuple | None]] = (), ok: bool = True
 ) -> None:
-    failed = [f"{name}: {r.counterexample}" for name, r in results if not r]
+    failed = [f"{name}: {c}" for name, c in results if c is not None]
     ok = ok and not failed
     print(f"[{'PASS' if ok else 'FAIL'}] {label}")
     assert ok, failed or label
 
 
-def _run(*names: str) -> list[tuple[str, CheckResult]]:
+def _run(*names: str) -> list[tuple[str, tuple | None]]:
     # The named checks of `flick verify`, looked up in its table.
     checks = dict(_CHECKS)
-    return [(name, checks[name]()) for name in names]
+    return [(name, _first_counterexample(checks[name])) for name in names]
 
 
 def test_criterion_01_table_reproduction():
@@ -57,8 +45,8 @@ def test_criterion_01_table_reproduction():
 
 
 def test_criterion_02_triangle_reproduction():
-    ok = triangle_rows(10, method="extraction").rows == TRIANGLE_ROWS_1_TO_10
-    ok = ok and triangle_rows(10, method="recurrence").rows == TRIANGLE_ROWS_1_TO_10
+    ok = triangle_rows(10, method="extraction").rows == ROWS_1_TO_10
+    ok = ok and triangle_rows(10, method="recurrence").rows == ROWS_1_TO_10
     _report("criterion 2: triangle rows 1-10, 55 values exact", ok=ok)
 
 

@@ -13,12 +13,7 @@ from faulhaber import faulhaber_sum
 from flick.bfile import parse_bfile
 from flick.cli import FORMATS, main
 from flick.exact import InexactDivisionError, exact_div
-from flick.verify import (
-    REFERENCE_BELL,
-    REFERENCE_KERNELS,
-    REFERENCE_TABLE,
-    CheckResult,
-)
+from flick.verify import REFERENCE_BELL, REFERENCE_KERNELS, REFERENCE_TABLE
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -167,7 +162,7 @@ def test_verify_reports_a_failed_check_and_exits_1(monkeypatch, capsys):
 
     checks = list(flick.verify._CHECKS)
     name, _ = checks[3]
-    checks[3] = (name, lambda: CheckResult(False, (4, 2, 5, 0)))
+    checks[3] = (name, lambda: iter([(4, 2, 5, 0)]))
     monkeypatch.setattr(flick.verify, "_CHECKS", checks)
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1

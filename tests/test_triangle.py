@@ -17,7 +17,7 @@ from flick.triangle import (
     triangle_rows,
 )
 
-# Rows 1..10 of the triangle.
+# Rows 1..10 of the triangle; acceptance criterion 2 reads them from here.
 ROWS_1_TO_10 = [
     [1],
     [1, 1],

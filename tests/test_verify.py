@@ -1,13 +1,14 @@
 """The identity checks of `flick verify` read their inputs from `flick.verify`
 itself, so a fault planted there is reported as the check's first
-counterexample."""
+counterexample; and every check defined there is in the suite."""
 
 from __future__ import annotations
 
 import pytest
 
 import flick.verify
-from flick.verify import CheckResult
+from flick.exact import exact_div
+from flick.verify import _CHECKS, _first_counterexample, run_suite
 
 
 def _off_by_one_at(fn, cell):
@@ -33,4 +34,29 @@ def test_identity_check_reports_its_first_counterexample(
 ):
     fn = getattr(flick.verify, binding)
     monkeypatch.setattr(flick.verify, binding, _off_by_one_at(fn, cell))
-    assert getattr(flick.verify, check)() == CheckResult(False, counterexample)
+    assert _first_counterexample(getattr(flick.verify, check)) == counterexample
+
+
+def test_every_check_is_in_the_suite_once_under_a_unique_name():
+    # A `_check_*` generator that lost its decorator would never run.
+    defined = {
+        fn for name, fn in vars(flick.verify).items() if name.startswith("_check_")
+    }
+    registered = [check for _, check in _CHECKS]
+    assert len(registered) == len(set(registered))
+    assert set(registered) == defined
+    names = [name for name, _ in _CHECKS]
+    assert len(set(names)) == len(names)
+    assert [name for name, _ in run_suite()] == names
+
+
+def test_a_check_that_raises_after_passing_cases_fails_with_the_exception():
+    def check():
+        yield 1, 1, 1
+        yield 2, exact_div(7, 2), 3
+
+    assert _first_counterexample(check) == (
+        "raised",
+        "InexactDivisionError",
+        "7 is not divisible by 2",
+    )
