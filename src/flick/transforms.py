@@ -28,21 +28,6 @@ class IntSeq:
     values: list[int]
     offset: int = 0
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IntSeq):
-            return self.values == other.values and self.offset == other.offset
-        try:
-            items = list(other)
-        except TypeError:  # not iterable
-            return NotImplemented
-        return self.values == items
-
 
 def row_sums(count: int) -> IntSeq:
     """a(n) = sum_k T(n, k) for n = 1..count."""
@@ -55,12 +40,6 @@ def row_sums(count: int) -> IntSeq:
         row = _next_row(row)
         sums.append(sum(row))
     return IntSeq(sums, offset=1)
-
-
-def _grade_sum(grid, grade: int) -> int:
-    # Sum of Todd(m, c) over the grade line 2m + c - 2 = grade: exactly the
-    # selection-path values extracted from the difference table of j^grade.
-    return sum(grid.antidiagonal(grade))
 
 
 def antidiagonal_sums(count: int) -> IntSeq:
@@ -80,7 +59,9 @@ def antidiagonal_sums(count: int) -> IntSeq:
     values = []
     previous = 0  # the grade-(n-1) sum, carried over from the step before
     for n in range(1, count + 1):
-        grade = _grade_sum(_GRID, n)
+        # Todd(m, c) over the grade line 2m + c - 2 = n: exactly the
+        # selection-path values extracted from the difference table of j^n.
+        grade = sum(_GRID.antidiagonal(n))
         values.append(grade + previous if n % 2 == 0 else grade)
         previous = grade
     return IntSeq(values, offset=1)

@@ -15,7 +15,20 @@ from flick.cli import main as cli_main
 from flick.powersum import power_sum, power_sum_naive
 from flick.triangle import triangle_rows
 from flick.verify import _CHECKS, _first_counterexample
-from test_triangle import ROWS_1_TO_10
+
+# Rows 1..10 of the triangle, read by criterion 2.
+ROWS_1_TO_10 = [
+    [1],
+    [1, 1],
+    [1, 0, 1],
+    [1, 1, 2, 1],
+    [1, 0, 5, 0, 1],
+    [1, 1, 10, 5, 3, 1],
+    [1, 0, 21, 0, 14, 0, 1],
+    [1, 1, 42, 21, 42, 14, 4, 1],
+    [1, 0, 85, 0, 147, 0, 30, 0, 1],
+    [1, 1, 170, 85, 441, 147, 120, 30, 5, 1],
+]
 
 
 def _report(

