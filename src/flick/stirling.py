@@ -7,6 +7,9 @@ order!, and a binomial sum against Stirling numbers.  Both start their window
 at the shift -(order - 1)/2, so the difference only meets the bases
 -(order - 1)/2 .. (order + 1)/2, and the binomial sum needs only the terms
 j = order .. power, since S2(j, order) vanishes for j < order.
+The difference folds base -a onto base a with the sign (-1)^power, so it
+needs only the binomials C(order, i) for i >= order // 2, raises only the odd
+bases to the power and gets each even base 2b as (b^power) << power.
 `_odd_slot_difference` and `_odd_slot_stirling` are the only copies of the
 two; the closed forms here and in `flick.todd` are index maps over them.
 
@@ -47,19 +50,30 @@ def stirling2(n: int, k: int) -> int:
 
 
 def _odd_slot_difference(power: int, order: int) -> int:
-    """T(power, order) for odd order, as the centred difference
-    sum_i (-1)^(order-i) C(order, i) (i + shift)^power over order!,
-    with shift = -(order - 1)/2; each |i + shift|^power is raised once."""
+    """T(power, order) for odd order <= power, as the centred difference
+    sum_i (-1)^(order-i) C(order, i) (i - half)^power over order!,
+    with half = order // 2.
+
+    The bases run over -half .. half + 1.  Base -a and base a carry the same
+    sign, (-1)^(half+1-a), and C(order, half - a) = C(order, half + a + 1),
+    so a^power has the weight C(order, half + a) + (-1)^power C(order, half + a + 1)
+    and only the binomials C(order, i) for i = half .. order are built.
+    Base 0 drops out, since power >= 1.  Only odd bases are raised to the
+    power: an even base 2b gives (b^power) << power.
+    """
     half = order // 2
-    weights = [0] * (half + 2)
-    binom = 1
-    for i in range(order + 1):
-        base = i - half
-        # (-a)^power = (-1)^power a^power
-        negative = (order - i + (power if base < 0 else 0)) % 2 == 1
-        weights[abs(base)] += -binom if negative else binom
-        binom = binom * (order - i) // (i + 1)
-    total = sum(w * a**power for a, w in enumerate(weights))
+    binoms = [math.comb(order, half)]  # binoms[a] = C(order, half + a)
+    for i in range(half, order):
+        binoms.append(binoms[-1] * (order - i) // (i + 1))
+    binoms.append(0)
+    odd_power = power % 2 == 1
+    powers = [0]  # powers[a] = a^power
+    total = 0
+    for a in range(1, half + 2):
+        raised = powers[a >> 1] << power if a % 2 == 0 else a**power
+        powers.append(raised)
+        weight = binoms[a] - binoms[a + 1] if odd_power else binoms[a] + binoms[a + 1]
+        total += -weight * raised if (half + 1 - a) % 2 else weight * raised
     return exact_div(total, math.factorial(order))
 
 

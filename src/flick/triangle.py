@@ -3,7 +3,9 @@
 Route one reads the triangle straight out of finite differences: take
 f(j) = j^n on a symmetric window, difference it k times, pick the central slot
 (which flickers between a half-integer and an integer offset with the parity
-of k) and normalize by k!.
+of k) and normalize by k!.  Because j^n is even or odd, level k of the
+table is symmetric up to the sign (-1)^(n+k), so only its left half, centre
+included, is ever computed.
 
 Route two never takes a difference.  It is an autonomous recurrence driven by
 the parities of n and k:
@@ -58,22 +60,30 @@ def triangle_row_extraction(n: int) -> list[int]:
 
     For odd k the central slot sits at the half-integer offset of the
     (even-length) difference row, for even k at the integer offset of the
-    (odd-length) row; both are the floor-midpoint of the level.  On any
-    symmetric window that slot of level k covers j = -floor(k/2) .. ceil(k/2),
-    so the narrowest window j = -ceil(n/2) .. ceil(n/2) yields every slot up
-    to k = n.  It is differenced one level at a time, and only the current
-    level is kept.
+    (odd-length) row.  On any symmetric window that slot of level k covers
+    j = -floor(k/2) .. ceil(k/2), so the narrowest window
+    j = -ceil(n/2) .. ceil(n/2) yields every slot up to k = n.  It is
+    differenced one level at a time, and only the current level is kept.
+
+    Each level is symmetric, because j^n is even or odd:
+    D^k f(-j-k) = (-1)^(n+k) D^k f(j) for f(j) = j^n.  So only the left half
+    of a level is kept, up to and including its centre, and the central slot
+    is the last entry kept.  Level k - 1 has even length when k is even;
+    before it is differenced, the mirror image of its last entry, with the
+    sign (-1)^(n+k-1) = (-1)^(n+1), is appended.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     half = (n + 1) // 2
-    level = [j**n for j in range(-half, half + 1)]
+    level = [j**n for j in range(-half, 1)]
     row = []
     factorial = 1
     for k in range(1, n + 1):
+        if k % 2 == 0:
+            level.append(level[-1] if n % 2 else -level[-1])
         level = [b - a for a, b in zip(level, level[1:])]
         factorial *= k
-        row.append(exact_div(abs(level[len(level) // 2]), factorial))
+        row.append(exact_div(abs(level[-1]), factorial))
     return row
 
 

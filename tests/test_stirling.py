@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -73,3 +75,16 @@ def test_odd_slot_kernels_match_the_recurrence(slot):
     by_difference = _odd_slot_difference(power, order)
     assert by_difference == _odd_slot_stirling(power, order)
     assert by_difference == triangle_entry_recurrence(power, order)
+
+
+def test_odd_slot_difference_matches_its_defining_sum():
+    # The docstring sum, term by term over i = 0 .. order, with no folding.
+    for power in range(1, 41):
+        for order in range(1, power + 1, 2):
+            total = sum(
+                (-1) ** (order - i) * math.comb(order, i) * (i - order // 2) ** power
+                for i in range(order + 1)
+            )
+            quotient, remainder = divmod(total, math.factorial(order))
+            assert remainder == 0, (power, order)
+            assert _odd_slot_difference(power, order) == quotient, (power, order)
