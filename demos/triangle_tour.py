@@ -29,7 +29,7 @@ print(f"  extraction == recurrence for 12 rows: {triangle.rows == again.rows}")
 print()
 print("Zeros sit exactly at even k in odd rows (strictly inside the row):")
 for n in (7, 9, 11):
-    row = triangle.row(n)
+    row = triangle.rows[n - 1]
     zero_slots = [k for k in range(1, n + 1) if row[k - 1] == 0]
     print(f"  row {n}: zero columns {zero_slots}")
 

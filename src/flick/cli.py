@@ -175,10 +175,10 @@ def _cmd_gf(args: argparse.Namespace) -> int:
     from .series import expand_rational
 
     _require_positive(row=args.row, order=args.order)
-    gf = _this.row_gf_odd(args.row) if args.odd else _this.row_gf_full(args.row)
-    coeffs = expand_rational(gf, args.order)
-    print(f"numerator: {gf.num.to_str('x')}")
-    print(f"denominator: {gf.den.to_str('x')}")
+    num, den = _this.row_gf_odd(args.row) if args.odd else _this.row_gf_full(args.row)
+    coeffs = expand_rational(num, den, args.order)
+    print(f"numerator: {num.to_str('x')}")
+    print(f"denominator: {den.to_str('x')}")
     print("coefficients: " + ",".join(str(c) for c in coeffs))
     return 0
 

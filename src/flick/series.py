@@ -2,7 +2,8 @@
 
 Everything here is exact: polynomial coefficients are Python ints, series
 coefficients are Fractions, and a truncation order is carried explicitly so
-no operation can silently read terms it never computed.
+no operation can silently read terms it never computed.  A rational
+generating function is a plain (numerator, denominator) pair of `PolyZ`.
 
 The two Bell routes here never read the triangle, and both are quadratic in
 big-integer steps: `bell_closed_form(n)` runs an integer recurrence for the
@@ -14,14 +15,12 @@ type; neither route needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import exact_div
 
 __all__ = [
     "PolyZ",
-    "RationalFunctionZ",
     "SeriesQ",
     "expand_rational",
     "row_gf_odd",
@@ -118,31 +117,19 @@ class PolyZ:
         return f"PolyZ({list(self.coeffs)!r})"
 
 
-@dataclass(frozen=True)
-class RationalFunctionZ:
-    """Ratio of integer polynomials whose series expansion stays integral."""
-
-    num: PolyZ
-    den: PolyZ
-
-    def __post_init__(self) -> None:
-        den0 = self.den.coeffs[0] if self.den else 0
-        if den0 == 0:
-            raise ValueError("denominator has a zero at the origin")
-        if den0 not in (1, -1):
-            raise ValueError(f"denominator constant term must be +-1, got {den0}")
-
-
-def expand_rational(f: RationalFunctionZ, order: int) -> list[int]:
+def expand_rational(num: PolyZ, den: PolyZ, order: int) -> list[int]:
     """Maclaurin coefficients c_0 .. c_{order-1} of num/den by long division.
 
     den(0) = +-1 makes every coefficient an integer: c_j solves the linear
-    recurrence den_0 * c_j = num_j - sum_{i>=1} den_i * c_{j-i}.
+    recurrence den_0 * c_j = num_j - sum_{i>=1} den_i * c_{j-i}.  Any other
+    den(0), zero or an empty denominator included, is a ValueError.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    num, den = f.num.coeffs, f.den.coeffs
-    den0 = den[0]
+    num, den = num.coeffs, den.coeffs
+    den0 = den[0] if den else 0
+    if den0 not in (1, -1):
+        raise ValueError(f"denominator constant term must be +-1, got {den0}")
     coeffs: list[int] = []
     for j in range(order):
         acc = num[j] if j < len(num) else 0
@@ -161,18 +148,18 @@ def _squared_factor_product(n: int, step: int) -> PolyZ:
     return poly
 
 
-def row_gf_odd(n: int) -> RationalFunctionZ:
-    """Generating function x / prod_{j=1..n} (1 - j^2 x) for a row's odd slots."""
+def row_gf_odd(n: int) -> tuple[PolyZ, PolyZ]:
+    """(num, den) of x / prod_{j=1..n} (1 - j^2 x), a row's odd slots."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return RationalFunctionZ(num=PolyZ([0, 1]), den=_squared_factor_product(n, 1))
+    return PolyZ([0, 1]), _squared_factor_product(n, 1)
 
 
-def row_gf_full(n: int) -> RationalFunctionZ:
-    """Generating function x(1 + nx) / prod_{j=1..n} (1 - j^2 x^2) for a full row."""
+def row_gf_full(n: int) -> tuple[PolyZ, PolyZ]:
+    """(num, den) of x(1 + nx) / prod_{j=1..n} (1 - j^2 x^2), a full row."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return RationalFunctionZ(num=PolyZ([0, 1, n]), den=_squared_factor_product(n, 2))
+    return PolyZ([0, 1, n]), _squared_factor_product(n, 2)
 
 
 def bell_ogf_coefficients(order: int) -> list[int]:
@@ -197,8 +184,7 @@ def bell_ogf_coefficients(order: int) -> list[int]:
             den[i] -= step * den[i - 2]
         num[2 * k - 1] += 1
         num[2 * k] += k + 1
-    total = RationalFunctionZ(num=PolyZ(num), den=PolyZ(den))
-    return expand_rational(total, order)[1:]
+    return expand_rational(PolyZ(num), PolyZ(den), order)[1:]
 
 
 class SeriesQ:

@@ -1,11 +1,13 @@
 """Row sums of the triangle (the flickering Bell sequence A395022), the
 anti-diagonal route to the same numbers, and the binomial-transform kernel
 hierarchy sitting underneath it.
+
+The forward transform, its inverse and the q-fold inverse `kernel` are one
+binomial sum, sum_{i=0..n} C(n, i) c^(n-i) a_i, at c = 1, -1 and -q.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .triangle import _next_row
@@ -67,26 +69,27 @@ def antidiagonal_sums(count: int) -> IntSeq:
     return IntSeq(values, offset=1)
 
 
+def _binomial_sum(values: list[int], c: int) -> list[int]:
+    """[sum_{i=0..n} C(n, i) c^(n-i) values[i] for n in range(len(values))]."""
+    powers = [1]
+    for _ in range(1, len(values)):
+        powers.append(c * powers[-1])
+    out = []
+    binom = [1]  # row n of Pascal's triangle
+    for n in range(len(values)):
+        out.append(sum(binom[i] * powers[n - i] * values[i] for i in range(n + 1)))
+        binom = [1] + [binom[i - 1] + binom[i] for i in range(1, n + 1)] + [1]
+    return out
+
+
 def binomial_transform(g: IntSeq) -> IntSeq:
     """a_n = sum_{i=0..n} C(n, i) g_i (indices relative to the offset)."""
-    values = [
-        sum(math.comb(n, i) * g.values[i] for i in range(n + 1))
-        for n in range(len(g.values))
-    ]
-    return IntSeq(values, offset=g.offset)
+    return IntSeq(_binomial_sum(g.values, 1), offset=g.offset)
 
 
 def inverse_binomial_transform(a: IntSeq) -> IntSeq:
     """g_n = sum_{i=0..n} (-1)^(n-i) C(n, i) a_i; exact inverse of the transform."""
-    values = [
-        sum(
-            (math.comb(n, i) * a.values[i] if (n - i) % 2 == 0
-             else -math.comb(n, i) * a.values[i])
-            for i in range(n + 1)
-        )
-        for n in range(len(a.values))
-    ]
-    return IntSeq(values, offset=a.offset)
+    return IntSeq(_binomial_sum(a.values, -1), offset=a.offset)
 
 
 def bell_with_leading_one(count: int) -> IntSeq:
@@ -103,18 +106,9 @@ def kernel(q: int, count: int) -> IntSeq:
     """q-fold inverse binomial transform of the leading-one Bell sequence.
 
     kernel(0) is the sequence itself; applying the forward transform q times
-    to kernel(q) recovers it exactly.  The q passes collapse into one:
-    g_n = sum_{i=0..n} C(n, i) (-q)^(n-i) a_i.
+    to kernel(q) recovers it exactly.  The q passes collapse into one binomial
+    sum at c = -q.
     """
     if q < 0:
         raise ValueError("q must be >= 0")
-    a = bell_with_leading_one(count).values
-    powers = [1]
-    for _ in range(1, count):
-        powers.append(-q * powers[-1])
-    values = []
-    binom = [1]  # row n of Pascal's triangle
-    for n in range(count):
-        values.append(sum(binom[i] * powers[n - i] * a[i] for i in range(n + 1)))
-        binom = [1] + [binom[i - 1] + binom[i] for i in range(1, n + 1)] + [1]
-    return IntSeq(values, offset=0)
+    return IntSeq(_binomial_sum(bell_with_leading_one(count).values, -q), offset=0)

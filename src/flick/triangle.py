@@ -41,16 +41,6 @@ class FlickerTriangle:
 
     rows: list[list[int]]
 
-    def entry(self, n: int, k: int) -> int:
-        if not 1 <= k <= n <= len(self.rows):
-            raise ValueError(f"need 1 <= k <= n <= {len(self.rows)}, got n={n}, k={k}")
-        return self.rows[n - 1][k - 1]
-
-    def row(self, n: int) -> list[int]:
-        if not 1 <= n <= len(self.rows):
-            raise ValueError(f"need 1 <= n <= {len(self.rows)}, got n={n}")
-        return list(self.rows[n - 1])
-
     def __len__(self) -> int:
         return len(self.rows)
 

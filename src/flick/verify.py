@@ -110,7 +110,7 @@ def _check_triangle_methods():
     by_extraction = triangle_rows(60, method="extraction")
     by_recurrence = triangle_rows(60, method="recurrence")
     for n in range(1, 61):
-        yield n, by_extraction.row(n), by_recurrence.row(n)
+        yield n, by_extraction.rows[n - 1], by_recurrence.rows[n - 1]
 
 
 @_check("triangle: recurrence divisions exact, entries nonnegative")
@@ -118,8 +118,8 @@ def _check_triangle_integrality():
     # Case (n, k, T(n, k) >= 0, True); an inexact division in the
     # recurrence raises, and fails the check as ("raised", ...).
     triangle = triangle_rows(200, method="recurrence")
-    for n in range(1, 201):
-        for k, value in enumerate(triangle.row(n), start=1):
+    for n, row in enumerate(triangle.rows, start=1):
+        for k, value in enumerate(row, start=1):
             yield n, k, value >= 0, True
 
 
@@ -127,17 +127,17 @@ def _check_triangle_integrality():
 def _check_zero_pattern():
     # Case (n, k, T(n, k) == 0, whether T(n, k) should be 0).
     triangle = triangle_rows(200, method="recurrence")
-    for n in range(1, 201):
-        for k, value in enumerate(triangle.row(n), start=1):
+    for n, row in enumerate(triangle.rows, start=1):
+        for k, value in enumerate(row, start=1):
             yield n, k, value == 0, k % 2 == 0 and n % 2 == 1 and 1 < k < n
 
 
 @_check("triangle: T(n, k) = T(n-1, k-1) for even n, even k")
 def _check_collapse():
-    triangle = triangle_rows(200, method="recurrence")
+    rows = triangle_rows(200, method="recurrence").rows
     for n in range(4, 201, 2):
         for k in range(2, n, 2):
-            yield n, k, triangle.entry(n, k), triangle.entry(n - 1, k - 1)
+            yield n, k, rows[n - 1][k - 1], rows[n - 2][k - 2]
 
 
 @_check("triangle: n^m expands over the fallshift basis")
@@ -220,14 +220,14 @@ def _check_fit_residual():
 @_check("genfunc: full-row series match todd rows")
 def _check_gf_full():
     for n in range(1, 7):
-        yield n, expand_rational(row_gf_full(n), 21), [0] + todd_row(n, 20)
+        yield n, expand_rational(*row_gf_full(n), 21), [0] + todd_row(n, 20)
 
 
 @_check("genfunc: odd-slot series match odd todd columns")
 def _check_gf_odd():
     for n in range(1, 7):
         expected = [0] + [todd_recurrence(n, 2 * k - 1) for k in range(1, 11)]
-        yield n, expand_rational(row_gf_odd(n), 11), expected
+        yield n, expand_rational(*row_gf_odd(n), 11), expected
 
 
 @_check("bell: row sums == anti-diagonals == OGF == closed form")
@@ -344,12 +344,11 @@ def _check_closed_forms():
 
 @_check("powersum: basis differences telescope to the endpoint")
 def _check_telescoping():
+    # The difference lemma below, summed over j = 1..n: the step to the power-sum
+    # formula.  Summed differences of I itself would telescope for any I.
     for k in range(1, 11):
         for n in range(1, 51):
-            total = sum(
-                integral_basis(j, k + 1) - integral_basis(j - 1, k + 1)
-                for j in range(1, n + 1)
-            )
+            total = sum((k + 1) * fallshift(j, k) for j in range(1, n + 1))
             yield k, n, total, integral_basis(n, k + 1)
 
 
@@ -410,10 +409,10 @@ def _check_todd_row_3():
 
 @_check("triangle: odd slots of row 2n-1 are row n of A036969")
 def _check_a036969():
-    triangle = triangle_rows(79, method="recurrence")
+    rows = triangle_rows(79, method="recurrence").rows
     row = [1]  # row n of A036969, A(n, k) for k = 1..n
     for n in range(1, 41):
-        yield n, triangle.row(2 * n - 1)[::2], row
+        yield n, rows[2 * n - 2][::2], row
         # A(n+1, k) = A(n, k-1) + k^2 A(n, k), with A(n, 0) = A(n, n+1) = 0.
         padded = [0, *row, 0]
         row = [padded[k - 1] + k * k * padded[k] for k in range(1, n + 2)]

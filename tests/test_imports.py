@@ -27,6 +27,14 @@ print(*sorted(m for m in sys.modules if m.split(".")[0] == "flick"), file=sys.st
 sys.exit(code)
 """
 
+_LOADED_DATACLASSES = """
+import sys
+from flick.cli import main
+code = main(sys.argv[1:])
+print("dataclasses" in sys.modules)
+sys.exit(code)
+"""
+
 _BARE_IMPORT = """
 import sys
 import flick
@@ -56,6 +64,7 @@ _TODD = {
     "flick.stirling",
     "flick.todd",
 }
+_GF = {"flick", "flick.cli", "flick.exact", "flick.series"}
 _EVERY = _CLI | {
     "flick.bfile",
     "flick.powersum",
@@ -78,6 +87,8 @@ _EVERY = _CLI | {
         (["todd", "--rows", "2", "--cols", "2"], _TODD),
         (["row", "2", "--count", "3"], _TODD),
         (["col", "3", "--count", "3"], _TODD),
+        (["gf", "--row", "3", "--order", "5"], _GF),
+        (["fitcol", "2"], _TODD),
         (["verify"], _EVERY),
     ],
     ids=[
@@ -89,12 +100,20 @@ _EVERY = _CLI | {
         "todd",
         "row",
         "col",
+        "gf",
+        "fitcol",
         "verify",
     ],
 )
 def test_command_imports_only_what_it_runs(argv, modules):
     proc = _run(_RUN_COMMAND, *argv)
     assert set(proc.stderr.split()) == modules
+
+
+def test_gf_does_not_load_dataclasses():
+    # The generating functions are plain (numerator, denominator) pairs.
+    proc = _run(_LOADED_DATACLASSES, "gf", "--row", "3", "--order", "5", "--odd")
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_bare_import_loads_no_submodule_and_lists_the_exports():

