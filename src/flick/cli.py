@@ -284,18 +284,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        # Results are printed in full however long they are; arguments were
-        # parsed above under the default limit.
-        with _int_str_digits(0):
+    # Integers of any length: arguments are parsed, and results printed, in full.
+    with _int_str_digits(0):
+        args = parser.parse_args(argv)
+        try:
             return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ArithmeticError, RecursionError, OSError, MemoryError) as exc:
-        print(f"error: internal: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 3
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (ArithmeticError, RecursionError, OSError, MemoryError) as exc:
+            print(f"error: internal: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -58,9 +58,6 @@ class PolyZ:
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyZ) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __add__(self, other: PolyZ) -> PolyZ:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -80,9 +77,6 @@ class PolyZ:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return PolyZ(out)
-
-    def scale(self, factor: int) -> PolyZ:
-        return PolyZ([factor * c for c in self.coeffs])
 
     def __call__(self, x: int) -> int:
         result = 0
@@ -191,7 +185,7 @@ class SeriesQ:
     """Truncated formal power series with exact rational coefficients.
 
     `order` is the truncation: terms of degree >= order are unspecified, and
-    binary operations truncate to the smaller order of their operands.
+    a product truncates to the smaller order of its operands.
     len(coeffs) == order always holds.
     """
 
@@ -202,10 +196,6 @@ class SeriesQ:
             raise ValueError("need exactly `order` coefficients")
         self.coeffs = [Fraction(c) for c in coeffs]
         self.order = order
-
-    @classmethod
-    def zero(cls, order: int) -> SeriesQ:
-        return cls([Fraction(0)] * order, order)
 
     @classmethod
     def one(cls, order: int) -> SeriesQ:
@@ -221,12 +211,6 @@ class SeriesQ:
             and self.coeffs == other.coeffs
         )
 
-    def __add__(self, other: SeriesQ) -> SeriesQ:
-        order = min(self.order, other.order)
-        return SeriesQ(
-            [self.coeffs[i] + other.coeffs[i] for i in range(order)], order
-        )
-
     def __mul__(self, other: SeriesQ) -> SeriesQ:
         order = min(self.order, other.order)
         out = [Fraction(0)] * order
@@ -238,15 +222,6 @@ class SeriesQ:
                 if b:
                     out[i + j] += a * b
         return SeriesQ(out, order)
-
-    def scale(self, factor: Fraction | int) -> SeriesQ:
-        f = Fraction(factor)
-        return SeriesQ([f * c for c in self.coeffs], self.order)
-
-    def coefficient(self, degree: int) -> Fraction:
-        if degree >= self.order:
-            raise IndexError(f"degree {degree} is beyond truncation {self.order}")
-        return self.coeffs[degree]
 
     def __repr__(self) -> str:
         return f"SeriesQ({self.coeffs!r}, order={self.order})"

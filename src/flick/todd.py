@@ -26,90 +26,55 @@ from .series import PolyZ
 from .stirling import _odd_slot_difference, _odd_slot_stirling
 
 __all__ = [
-    "ToddGrid",
     "ColumnFactorization",
     "todd_recurrence",
     "todd_finite_difference",
     "todd_stirling",
     "todd_row",
     "todd_column",
+    "todd_antidiagonal",
     "base_poly",
     "fit_column_polynomial",
 ]
 
 
-class ToddGrid:
-    """Lazily extended row-major grid of Todd(n, k), n, k >= 1.
+# _ROWS[n - 1] holds Todd(n, 1), Todd(n, 2), ...; filled by `_grid` only.
+_ROWS: list[list[int]] = []
+_LOCK = threading.Lock()
 
-    Row fill is left-to-right, top-to-bottom: each entry needs only its left
-    neighbour and the one above, so extension is O(rows * cols) with no
-    recursion.  Extension is serialized by a lock; reads of already-filled
-    entries are safe to run concurrently.
+
+def _grid(rows: int, cols: int) -> list[list[int]]:
+    """The filled rows of Todd, at least `rows` (>= 1) of them, each at least
+    `cols` long.
+
+    The rectangle grows left to right, top to bottom: each entry needs only
+    its left neighbour and the one above, with Todd(0, k) = 0, so growth is
+    O(rows * cols) with no recursion.  Growth is serialized by a lock.  Rows
+    only lengthen, an upper row before a lower one, so the last row is never
+    longer than any other, and reads of filled entries are safe meanwhile.
     """
-
-    def __init__(self) -> None:
-        self._rows: list[list[int]] = []
-        self._cols = 0
-        self._lock = threading.Lock()
-
-    def ensure(self, rows: int, cols: int) -> None:
-        if rows <= len(self._rows) and cols <= self._cols:
-            return
-        with self._lock:
-            cols = max(cols, self._cols)
-            for n, row in enumerate(self._rows, start=1):
-                self._extend_row(n, row, cols)
-            while len(self._rows) < rows:
-                n = len(self._rows) + 1
-                row = [1]
-                self._extend_row(n, row, cols)
-                self._rows.append(row)
-            self._cols = cols
-
-    def _extend_row(self, n: int, row: list[int], cols: int) -> None:
-        prev = self._rows[n - 2] if n >= 2 else None
-        for k in range(len(row) + 1, cols + 1):
-            if n == 1:
-                row.append(1)
-            elif k % 2 == 1:
-                row.append(n * row[-1] + prev[k - 1])
-            else:
-                row.append(n * row[-1])
-
-    def entry(self, n: int, k: int) -> int:
-        if n < 1 or k < 1:
-            raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
-        self.ensure(n, k)
-        return self._rows[n - 1][k - 1]
-
-    def row(self, n: int, count: int) -> list[int]:
-        if n < 1 or count < 0:
-            raise ValueError(f"need n >= 1 and count >= 0, got n={n}, count={count}")
-        self.ensure(n, count)
-        return self._rows[n - 1][:count]
-
-    def antidiagonal(self, grade: int) -> list[int]:
-        """Todd(m, grade + 2 - 2m) for m = 1 .. (grade + 1) // 2: the entries
-        whose source power 2m + c - 2 is `grade`, read after one ensure."""
-        if grade < 1:
-            raise ValueError(f"need grade >= 1, got {grade}")
-        self.ensure((grade + 1) // 2, grade)
-        rows = self._rows[: (grade + 1) // 2]
-        return [row[grade + 1 - 2 * m] for m, row in enumerate(rows, start=1)]
-
-    def column(self, k: int, count: int) -> list[int]:
-        if k < 1 or count < 0:
-            raise ValueError(f"need k >= 1 and count >= 0, got k={k}, count={count}")
-        self.ensure(count, k)
-        return [self._rows[n][k - 1] for n in range(count)]
-
-
-_GRID = ToddGrid()
+    if rows > len(_ROWS) or cols > len(_ROWS[-1]):
+        with _LOCK:
+            cols = max(cols, len(_ROWS[0]) if _ROWS else 0)
+            above = [0] * cols
+            for n in range(1, max(rows, len(_ROWS)) + 1):
+                if n > len(_ROWS):
+                    _ROWS.append([1])
+                row = _ROWS[n - 1]
+                for k in range(len(row) + 1, cols + 1):
+                    if k % 2 == 1:
+                        row.append(n * row[-1] + above[k - 1])
+                    else:
+                        row.append(n * row[-1])
+                above = row
+    return _ROWS
 
 
 def todd_recurrence(n: int, k: int) -> int:
     """Todd(n, k) by the flickering recurrence (shared lazily-grown grid)."""
-    return _GRID.entry(n, k)
+    if n < 1 or k < 1:
+        raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
+    return _grid(n, k)[n - 1][k - 1]
 
 
 def todd_finite_difference(n: int, k: int) -> int:
@@ -132,14 +97,23 @@ def todd_row(n: int, count: int) -> list[int]:
     """First `count` entries of row n."""
     if n < 1 or count < 1:
         raise ValueError("need n >= 1 and count >= 1")
-    return _GRID.row(n, count)
+    return _grid(n, count)[n - 1][:count]
 
 
 def todd_column(k: int, count: int) -> list[int]:
     """First `count` entries of column k."""
     if k < 1 or count < 1:
         raise ValueError("need k >= 1 and count >= 1")
-    return _GRID.column(k, count)
+    return [row[k - 1] for row in _grid(count, k)[:count]]
+
+
+def todd_antidiagonal(grade: int) -> list[int]:
+    """Todd(m, grade + 2 - 2m) for m = 1 .. (grade + 1) // 2: the entries
+    whose source power 2m + c - 2 is `grade`."""
+    if grade < 1:
+        raise ValueError(f"need grade >= 1, got {grade}")
+    rows = _grid((grade + 1) // 2, grade)[: (grade + 1) // 2]
+    return [row[grade + 1 - 2 * m] for m, row in enumerate(rows, start=1)]
 
 
 def base_poly(m: int) -> PolyZ:

@@ -3,7 +3,9 @@ anti-diagonal route to the same numbers, and the binomial-transform kernel
 hierarchy sitting underneath it.
 
 The forward transform, its inverse and the q-fold inverse `kernel` are one
-binomial sum, sum_{i=0..n} C(n, i) c^(n-i) a_i, at c = 1, -1 and -q.
+binomial sum, sum_{i=0..n} C(n, i) c^(n-i) a_i, at c = 1, -1 and -q, read
+off the left edge of a difference table: each row maps a_i to a_(i+1) + c a_i,
+so row n starts with the n-th sum.
 """
 
 from __future__ import annotations
@@ -56,29 +58,26 @@ def antidiagonal_sums(count: int) -> IntSeq:
     if count < 1:
         raise ValueError("count must be >= 1")
     # Imported here so that the row-sum and kernel routes load no Todd grid.
-    from .todd import _GRID
+    from .todd import todd_antidiagonal
 
     values = []
     previous = 0  # the grade-(n-1) sum, carried over from the step before
     for n in range(1, count + 1):
         # Todd(m, c) over the grade line 2m + c - 2 = n: exactly the
         # selection-path values extracted from the difference table of j^n.
-        grade = sum(_GRID.antidiagonal(n))
+        grade = sum(todd_antidiagonal(n))
         values.append(grade + previous if n % 2 == 0 else grade)
         previous = grade
     return IntSeq(values, offset=1)
 
 
 def _binomial_sum(values: list[int], c: int) -> list[int]:
-    """[sum_{i=0..n} C(n, i) c^(n-i) values[i] for n in range(len(values))]."""
-    powers = [1]
-    for _ in range(1, len(values)):
-        powers.append(c * powers[-1])
-    out = []
-    binom = [1]  # row n of Pascal's triangle
-    for n in range(len(values)):
-        out.append(sum(binom[i] * powers[n - i] * values[i] for i in range(n + 1)))
-        binom = [1] + [binom[i - 1] + binom[i] for i in range(1, n + 1)] + [1]
+    """[sum_{i=0..n} C(n, i) c^(n-i) values[i] for n in range(len(values))]:
+    the left edge of the table whose rows each map a_i to a_(i+1) + c a_i."""
+    out, row = [], values
+    while row:
+        out.append(row[0])
+        row = [b + c * a for a, b in zip(row, row[1:])]
     return out
 
 

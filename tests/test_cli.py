@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from faulhaber import faulhaber_sum
 from flick.bfile import parse_bfile
-from flick.cli import FORMATS, main
+from flick.cli import FORMATS, _int_str_digits, main
 from flick.exact import InexactDivisionError, exact_div
 from flick.verify import REFERENCE_BELL, REFERENCE_KERNELS, REFERENCE_TABLE
 
@@ -104,12 +104,20 @@ def test_powersum_prints_results_over_4300_digits(capsys):
     n = 10**20
     code, out, _ = run_cli(capsys, "powersum", "250", str(n))
     assert code == 0
-    assert sys.get_int_max_str_digits() == limit  # lifted for output only
+    assert sys.get_int_max_str_digits() == limit  # lifted inside main only
     digits = out.strip()
     assert len(digits) == 5018
     # Read back in two pieces so that no conversion exceeds the default limit.
     head, tail = digits[:-4000], digits[-4000:]
     assert int(head) * 10**4000 + int(tail) == faulhaber_sum(250, n)
+
+
+def test_powersum_parses_arguments_over_4300_digits(capsys):
+    n = 10**4399 + 7
+    code, out, _ = run_cli(capsys, "powersum", "3", "1" + "0" * 4398 + "7")
+    assert code == 0
+    with _int_str_digits(0):
+        assert int(out) == (n * (n + 1) // 2) ** 2
 
 
 def test_bell_sequence(capsys):

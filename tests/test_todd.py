@@ -1,18 +1,20 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flick.todd
 from flick.series import PolyZ
 from flick.todd import (
     ColumnFactorization,
-    ToddGrid,
     _newton_polynomial,
     base_poly,
     fit_column_polynomial,
+    todd_antidiagonal,
     todd_column,
     todd_finite_difference,
     todd_recurrence,
@@ -23,8 +25,9 @@ from flick.triangle import triangle_entry_recurrence
 from flick.verify import REFERENCE_COLUMNS
 
 
+@functools.cache
 def recurrence_oracle(n: int, k: int) -> int:
-    # The two-term rule written directly, no grid, no memo.
+    # The two-term rule written directly, no grid; cached only for speed.
     if n == 1 or k == 1:
         return 1
     left = recurrence_oracle(n, k - 1)
@@ -88,37 +91,71 @@ def test_input_validation():
         todd_column(0, 5)
 
 
-def test_grid_lazy_extension():
-    grid = ToddGrid()
-    assert grid.entry(3, 3) == 14
-    # forces both more rows and more cols: 5 * Todd(5, 9) = 5 * 1733303
-    assert grid.entry(5, 10) == 8666515
-    assert grid.entry(3, 3) == 14
-    assert grid.row(2, 4) == [1, 2, 5, 10]
-    assert grid.column(3, 4) == [1, 5, 14, 30]
+_READS = st.one_of(
+    st.tuples(st.just("entry"), st.integers(1, 12), st.integers(1, 24)),
+    st.tuples(st.just("row"), st.integers(1, 12), st.integers(1, 24)),
+    st.tuples(st.just("column"), st.integers(1, 24), st.integers(1, 12)),
+    st.tuples(st.just("antidiagonal"), st.integers(1, 24), st.just(0)),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(reads=st.lists(_READS, min_size=1, max_size=8), bad=st.integers(-3, 0))
+def test_grid_lazy_extension(reads, bad):
+    # A fresh grid per example: any order of reads gives the oracle's values,
+    # and the grid is the smallest rectangle holding every cell read so far.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("flick.todd._ROWS", [])
+        rows = cols = 0
+        for kind, a, b in reads:
+            if kind == "entry":
+                got, cells = [todd_recurrence(a, b)], [(a, b)]
+            elif kind == "row":
+                got, cells = todd_row(a, b), [(a, k) for k in range(1, b + 1)]
+            elif kind == "column":
+                got, cells = todd_column(a, b), [(n, a) for n in range(1, b + 1)]
+            else:
+                got = todd_antidiagonal(a)
+                cells = [(m, a + 2 - 2 * m) for m in range(1, (a + 1) // 2 + 1)]
+            assert got == [recurrence_oracle(n, k) for n, k in cells]
+            rows = max(rows, *(n for n, _ in cells))
+            cols = max(cols, *(k for _, k in cells))
+            assert [len(row) for row in flick.todd._ROWS] == [cols] * rows
+        # Warm, so that a wrapped negative index would reach a filled row or column.
+        for read, args in (
+            (todd_recurrence, (bad, 1)),
+            (todd_recurrence, (1, bad)),
+            (todd_row, (bad, 3)),
+            (todd_row, (2, bad)),
+            (todd_column, (bad, 3)),
+            (todd_column, (2, bad)),
+            (todd_antidiagonal, (bad,)),
+        ):
+            with pytest.raises(ValueError):
+                read(*args)
 
 
 def test_grid_rejects_out_of_range_lines():
     # Warm, so that a wrapped negative index would reach a filled row or column.
-    grid = ToddGrid()
-    grid.ensure(6, 6)
+    todd_recurrence(6, 6)
     for line, count in ((0, 4), (-1, 3), (2, -1)):
         with pytest.raises(ValueError):
-            grid.row(line, count)
+            todd_row(line, count)
         with pytest.raises(ValueError):
-            grid.column(line, count)
+            todd_column(line, count)
 
 
 def test_grid_antidiagonal_reads_the_grade_line():
     # A fresh grid, so that each grade has to extend it first.
-    grid = ToddGrid()
-    for grade in range(1, 41):
-        assert grid.antidiagonal(grade) == [
-            todd_recurrence(m, grade + 2 - 2 * m) for m in range(1, (grade + 1) // 2 + 1)
-        ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("flick.todd._ROWS", [])
+        for grade in range(1, 41):
+            assert todd_antidiagonal(grade) == [
+                todd_recurrence(m, grade + 2 - 2 * m) for m in range(1, (grade + 1) // 2 + 1)
+            ]
     for grade in (0, -3):
         with pytest.raises(ValueError):
-            grid.antidiagonal(grade)
+            todd_antidiagonal(grade)
 
 
 def test_subgrid_identity():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flick.todd import ToddGrid
+import flick.todd
 from flick.transforms import (
     IntSeq,
     antidiagonal_sums,
@@ -46,11 +46,10 @@ def test_antidiagonal_sums_prefix():
 def test_antidiagonal_sums_one_grade_sum_per_term(monkeypatch):
     # Even terms reuse the grade-(n-1) sum of the step before.
     grades = []
-    antidiagonal = ToddGrid.antidiagonal
+    antidiagonal = flick.todd.todd_antidiagonal
     monkeypatch.setattr(
-        ToddGrid,
-        "antidiagonal",
-        lambda grid, grade: grades.append(grade) or antidiagonal(grid, grade),
+        "flick.todd.todd_antidiagonal",
+        lambda grade: grades.append(grade) or antidiagonal(grade),
     )
     assert antidiagonal_sums(40) == row_sums(40)
     assert grades == list(range(1, 41))
