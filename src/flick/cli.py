@@ -6,6 +6,11 @@ operating-system error, or running out of memory).  All numeric output is full
 decimal, of any length, and every command is deterministic for fixed
 arguments.
 
+The parser is the only gate: each integer's `type` checks its lower bound,
+and grids (`triangle`, `todd`) offer no b-file, so a usage error exits 2
+from argparse before any engine is imported.  A `ValueError` raised by the
+library itself prints `error: ...` and also exits 2.
+
 Each command imports only the modules it runs, so a cold `flick` process
 pays for no engine it does not use.  The library functions in `_LIBRARY`
 are attributes of this module, loaded on first read (PEP 562), and the
@@ -23,13 +28,14 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import _lazy_getattr
 
 __all__ = ["main"]
 
 FORMATS = ("table", "csv", "json", "bfile")
+GRID_FORMATS = FORMATS[:-1]  # a b-file holds one sequence
 
 # Library functions the handlers call, and the module that defines each.
 _LIBRARY = {
@@ -50,10 +56,6 @@ __getattr__ = _lazy_getattr(globals(), _LIBRARY)
 _this = sys.modules[__name__]
 
 
-class UsageError(ValueError):
-    """Bad argument values; reported on stderr with exit code 2."""
-
-
 def _sequence_output(name: str, values: list[int], offset: int, fmt: str) -> str:
     if fmt in ("table", "csv"):
         return ",".join(str(v) for v in values)
@@ -63,7 +65,7 @@ def _sequence_output(name: str, values: list[int], offset: int, fmt: str) -> str
         return json.dumps(
             {"name": name, "offset": offset, "values": [str(v) for v in values]}
         )
-    # "bfile": argparse admits no format outside FORMATS.
+    # "bfile": the parser admits no format outside FORMATS.
     return _this.format_bfile(values, offset).rstrip("\n")
 
 
@@ -81,18 +83,11 @@ def _grid_output(name: str, rows: list[list[int]], offset: int, fmt: str) -> str
         return "\n".join(lines)
     if fmt == "csv":
         return "\n".join(",".join(str(v) for v in row) for row in rows)
-    if fmt == "json":
-        import json
+    # "json": the parser admits no format outside GRID_FORMATS.
+    import json
 
-        return json.dumps(
-            {
-                "name": name,
-                "offset": offset,
-                "values": [[str(v) for v in row] for row in rows],
-            }
-        )
-    # "bfile": argparse admits no format outside FORMATS.
-    raise UsageError("bfile output applies only to one-dimensional sequences")
+    values = [[str(v) for v in row] for row in rows]
+    return json.dumps({"name": name, "offset": offset, "values": values})
 
 
 @contextmanager
@@ -112,21 +107,30 @@ def _int_str_digits(limit: int) -> Iterator[None]:
         sys.set_int_max_str_digits(saved)
 
 
-def _require_positive(**named: int) -> None:
-    for label, value in named.items():
-        if value < 1:
-            raise UsageError(f"{label} must be >= 1, got {value}")
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse `type` for integers >= `low`; named `int`, so that a
+    non-integer reads "invalid int value" as with plain `int`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+_POSITIVE = _int_at_least(1)
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
-    _require_positive(rows=args.rows)
     rows = _this.triangle_rows(args.rows, method=args.method).rows
     print(_grid_output("triangle", rows, 1, args.format))
     return 0
 
 
 def _cmd_todd(args: argparse.Namespace) -> int:
-    _require_positive(rows=args.rows, cols=args.cols)
     rows = [_this.todd_row(n, args.cols) for n in range(1, args.rows + 1)]
     print(_grid_output("todd", rows, 1, args.format))
     return 0
@@ -136,7 +140,6 @@ def _cmd_line(args: argparse.Namespace) -> int:
     # `row n` and `col k`: a prefix of one array row or column, printed under
     # the name of the function that computes it.
     index = getattr(args, args.axis)
-    _require_positive(**{args.axis: index, "count": args.count})
     values = getattr(_this, args.name)(index, args.count)
     print(_sequence_output(f"{args.name}_{index}", values, 1, args.format))
     return 0
@@ -145,7 +148,6 @@ def _cmd_line(args: argparse.Namespace) -> int:
 def _cmd_powersum(args: argparse.Namespace) -> int:
     from .powersum import power_sum
 
-    _require_positive(m=args.m, n=args.n)
     result = power_sum(args.m, args.n)
     print(result.value)
     if args.check:
@@ -158,13 +160,10 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
 
 
 def _cmd_bell(args: argparse.Namespace) -> int:
-    _require_positive(count=args.count)
     if args.kernels is None:
         seq = _this.row_sums(args.count)
         name = "bell"
     else:
-        if args.kernels < 0:
-            raise UsageError(f"--kernels must be >= 0, got {args.kernels}")
         seq = _this.kernel(args.kernels, args.count)
         name = f"bell_kernel_{args.kernels}"
     print(_sequence_output(name, seq.values, seq.offset, args.format))
@@ -174,7 +173,6 @@ def _cmd_bell(args: argparse.Namespace) -> int:
 def _cmd_gf(args: argparse.Namespace) -> int:
     from .series import expand_rational
 
-    _require_positive(row=args.row, order=args.order)
     num, den = _this.row_gf_odd(args.row) if args.odd else _this.row_gf_full(args.row)
     coeffs = expand_rational(num, den, args.order)
     print(f"numerator: {num.to_str('x')}")
@@ -186,7 +184,6 @@ def _cmd_gf(args: argparse.Namespace) -> int:
 def _cmd_fitcol(args: argparse.Namespace) -> int:
     from .todd import fit_column_polynomial
 
-    _require_positive(m=args.m)
     fit = fit_column_polynomial(args.m)
     print(f"column: {fit.column}")
     print(f"base: {fit.base.to_str('n')}")
@@ -223,43 +220,42 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("triangle", help="print triangle rows")
-    p.add_argument("--rows", type=int, required=True)
+    p.add_argument("--rows", type=_POSITIVE, required=True)
     p.add_argument(
         "--method", choices=("extraction", "recurrence"), default="recurrence"
     )
-    p.add_argument("--format", choices=FORMATS, default="table")
+    p.add_argument("--format", choices=GRID_FORMATS, default="table")
     p.set_defaults(func=_cmd_triangle)
 
     p = sub.add_parser("todd", help="print a corner of the array")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--format", choices=FORMATS, default="table")
+    p.add_argument("--rows", type=_POSITIVE, required=True)
+    p.add_argument("--cols", type=_POSITIVE, required=True)
+    p.add_argument("--format", choices=GRID_FORMATS, default="table")
     p.set_defaults(func=_cmd_todd)
 
     p = sub.add_parser("row", help="print a prefix of an array row")
-    p.add_argument("n", type=int)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("n", type=_POSITIVE)
+    p.add_argument("--count", type=_POSITIVE, required=True)
     p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(func=_cmd_line, axis="n", name="todd_row")
 
     p = sub.add_parser("col", help="print a prefix of an array column")
-    p.add_argument("k", type=int)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("k", type=_POSITIVE)
+    p.add_argument("--count", type=_POSITIVE, required=True)
     p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(func=_cmd_line, axis="k", name="todd_column")
 
     p = sub.add_parser("powersum", help="sum of m-th powers 1..n, exactly")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=_POSITIVE)
+    p.add_argument("n", type=_POSITIVE)
     p.add_argument("--check", action="store_true", help="also run the naive oracle")
     p.set_defaults(func=_cmd_powersum)
 
     p = sub.add_parser("bell", help="row-sum sequence, or a transform kernel")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_POSITIVE, required=True)
     p.add_argument(
         "--kernels",
-        type=int,
-        default=None,
+        type=_int_at_least(0),
         metavar="Q",
         help="print the q-fold inverse binomial transform kernel instead",
     )
@@ -267,13 +263,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bell)
 
     p = sub.add_parser("gf", help="expand a row generating function")
-    p.add_argument("--row", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--row", type=_POSITIVE, required=True)
+    p.add_argument("--order", type=_POSITIVE, required=True)
     p.add_argument("--odd", action="store_true", help="odd-slot subsequence GF")
     p.set_defaults(func=_cmd_gf)
 
     p = sub.add_parser("fitcol", help="fit the closed form of odd column 2m+1")
-    p.add_argument("m", type=int)
+    p.add_argument("m", type=_POSITIVE)
     p.set_defaults(func=_cmd_fitcol)
 
     p = sub.add_parser("verify", help="run the full property suite")

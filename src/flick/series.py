@@ -47,16 +47,8 @@ class PolyZ:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("PolyZ is immutable")
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyZ) and self.coeffs == other.coeffs
 
     def __add__(self, other: PolyZ) -> PolyZ:
         a, b = self.coeffs, other.coeffs
@@ -89,8 +81,7 @@ class PolyZ:
         if not self.coeffs:
             return "0"
         parts = []
-        for power in range(self.degree + 1):
-            c = self.coeffs[power]
+        for power, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"

@@ -81,12 +81,15 @@ def _odd_slot_stirling(power: int, order: int) -> int:
     """T(power, order) for odd order, as the binomial sum
     sum_j C(power, j) shift^(power-j) S2(j, order),
     with shift = -(order - 1)/2 and 0^0 = 1 at order 1, by Horner's rule in
-    the shift over j = order .. power (at order 1 it keeps j = power alone)."""
+    the shift over j = order .. power (at order 1 it keeps j = power alone).
+    S2(j, order) is read from the stored rows, filled through row power once."""
     shift = -(order // 2)
     binom = math.comb(power, order)
+    _TABLE.row(power)
+    rows = _TABLE._rows  # rows are only appended: read-only here
     total = 0
     for j in range(order, power + 1):
-        total = total * shift + binom * stirling2(j, order)
+        total = total * shift + binom * rows[j][order]
         binom = binom * (power - j) // (j + 1)
     return total
 

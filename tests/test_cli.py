@@ -62,10 +62,25 @@ def test_triangle_json_single_row(capsys):
     assert payload["offset"] == 1
 
 
+def usage_error(capsys, *argv: str) -> str:
+    """The parser's error line for `argv`, which must exit 2."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, *_, error = captured.err.splitlines()
+    assert usage.startswith(f"usage: flick {argv[0]} ")
+    return error
+
+
 def test_triangle_bfile_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "triangle", "--rows", "3", "--format", "bfile")
-    assert code == 2
-    assert "one-dimensional" in err
+    # A b-file holds one sequence: grids offer only table, csv and json.
+    for argv in (["triangle", "--rows", "3"], ["todd", "--rows", "3", "--cols", "3"]):
+        error = usage_error(capsys, *argv, "--format", "bfile")
+        assert error.startswith(
+            f"flick {argv[0]}: error: argument --format: invalid choice: 'bfile'"
+        )
 
 
 def test_todd_matches_reference_corner(capsys):
@@ -224,13 +239,19 @@ def test_deterministic_output(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    code, _, err = run_cli(capsys, "triangle", "--rows", "0")
-    assert code == 2
-    assert "rows" in err
-    code, _, _ = run_cli(capsys, "powersum", "0", "4")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "bell", "--kernels", "-1", "--count", "3")
-    assert code == 2
+    cases = [
+        (["triangle", "--rows", "0"], "--rows: must be >= 1, got 0"),
+        (["triangle", "--rows", "x"], "--rows: invalid int value: 'x'"),
+        (["todd", "--rows", "2", "--cols", "-1"], "--cols: must be >= 1, got -1"),
+        (["powersum", "0", "4"], "m: must be >= 1, got 0"),
+        (["col", "3", "--count", "0"], "--count: must be >= 1, got 0"),
+        (["bell", "--kernels", "-1"], "--kernels: must be >= 0, got -1"),
+        (["gf", "--row", "2", "--order", "0"], "--order: must be >= 1, got 0"),
+        (["fitcol", "0"], "m: must be >= 1, got 0"),
+    ]
+    for argv, message in cases:
+        error = usage_error(capsys, *argv)
+        assert error == f"flick {argv[0]}: error: argument {message}"
 
 
 def test_argparse_rejects_unknown_format(capsys):
@@ -261,8 +282,9 @@ def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
 
 # Argument vectors for every subcommand but `verify`, at bounded sizes: rows
 # and counts <= 40, m <= 60, n <= 10^6, fitcol m <= 4.  Values just below the
-# valid range, a non-integer and a missing option exercise both usage-error
-# paths (exit 2 from `main`, SystemExit(2) from argparse).
+# valid range, a non-integer, a missing option and a b-file grid are usage
+# errors, which argparse rejects with SystemExit(2); `main` itself returns 2
+# only for a `ValueError` that the library raises.
 def _ints(high: int) -> st.SearchStrategy[str]:
     # -2 stands for a value that is not an integer.
     return st.integers(-2, high).map(lambda v: "x" if v == -2 else str(v))

