@@ -23,6 +23,7 @@ two rather than assuming them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .exact import _StepTable, exact_div
@@ -71,7 +72,7 @@ def triangle_row_extraction(n: int) -> list[int]:
     for k in range(1, n + 1):
         if k % 2 == 0:
             level.append(level[-1] if n % 2 else -level[-1])
-        level = [b - a for a, b in zip(level, level[1:])]
+        level = list(map(operator.sub, level[1:], level))
         factorial *= k
         row.append(exact_div(abs(level[-1]), factorial))
     return row

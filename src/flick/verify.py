@@ -5,7 +5,8 @@ A check is a generator of cases (..., got, want) at fixed bounds, added to the
 suite by `@_check(name)`.  It fails at its first case with got != want, and
 that case, a tuple of indices and values led by a short label where the check
 can fail in more than one way, is its counterexample.  A check that raises
-`ArithmeticError` fails as ("raised", exception class, message).
+any `Exception` fails as ("raised", exception class, message); the rest of
+the suite still runs, and `flick verify` exits 1.
 
 Reference prefixes (the array corner, the named column prefixes, the Bell
 prefix, the transform kernels) are frozen here as data, and this is their only
@@ -421,15 +422,16 @@ def _check_a036969():
 def _first_counterexample(check: Callable[[], Iterator[tuple]]) -> tuple | None:
     """The first case (..., got, want) of `check` with got != want, or None.
 
-    Cases are drawn lazily, so the check stops there.  An inexact division or
-    any other arithmetic fault fails this check alone, as ("raised", exception
-    class, message); the rest of the suite still runs and reports.
+    Cases are drawn lazily, so the check stops there.  An exception raised
+    while drawing or comparing the cases (an inexact division, a `ValueError`
+    from an engine) fails this check alone, as ("raised", exception class,
+    message); the rest of the suite still runs and reports.
     """
     try:
         for case in check():
             if case[-2] != case[-1]:
                 return case
-    except ArithmeticError as exc:
+    except Exception as exc:
         return ("raised", type(exc).__name__, str(exc))
     return None
 

@@ -139,12 +139,16 @@ def test_bell_sequence(capsys):
     code, out, _ = run_cli(capsys, "bell", "--count", "10")
     assert code == 0
     assert out.strip() == ",".join(map(str, REFERENCE_BELL))
+    # The smallest count that row_sums takes.
+    assert run_cli(capsys, "bell", "--count", "1") == (0, "1\n", "")
 
 
 def test_bell_kernel(capsys):
     code, out, _ = run_cli(capsys, "bell", "--kernels", "4", "--count", "7")
     assert code == 0
     assert out.strip() == ",".join(map(str, REFERENCE_KERNELS[4]))
+    # Count 2: the leading one and one Bell term, 1 and 1 - 3 * 1.
+    assert run_cli(capsys, "bell", "--kernels", "3", "--count", "2") == (0, "1,-2\n", "")
 
 
 def test_bell_bfile_offsets(capsys):
@@ -195,23 +199,31 @@ def test_verify_reports_a_failed_check_and_exits_1(monkeypatch, capsys):
     assert lines[-1] == f"1 of {len(checks)} checks failed"
 
 
+def _raise_value_error():
+    raise ValueError("need 1 <= k <= n, got n=3, k=4")
+
+
 def test_verify_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
     import flick.verify
 
-    checks = list(flick.verify._CHECKS)
-    name, _ = checks[12]
-    checks[12] = (name, lambda: exact_div(7, 2))
-    monkeypatch.setattr(flick.verify, "_CHECKS", checks)
-    code, out, err = run_cli(capsys, "verify")
-    assert code == 1
-    assert err == ""
-    lines = out.splitlines()
-    assert len(checks) == 32
-    assert sum(line.startswith("PASS  ") for line in lines) == 31
-    assert lines[12] == (
-        f"FAIL  {name}: ('raised', 'InexactDivisionError', '7 is not divisible by 2')"
-    )
-    assert lines[-1] == "1 of 32 checks failed"
+    faults = [
+        (lambda: exact_div(7, 2), "('raised', 'InexactDivisionError', '7 is not divisible by 2')"),
+        # Not an arithmetic fault: still this check's failure, not a usage error.
+        (_raise_value_error, "('raised', 'ValueError', 'need 1 <= k <= n, got n=3, k=4')"),
+    ]
+    for fault, raised in faults:
+        checks = list(flick.verify._CHECKS)
+        name, _ = checks[12]
+        checks[12] = (name, fault)
+        monkeypatch.setattr(flick.verify, "_CHECKS", checks)
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        assert len(checks) == 32
+        assert sum(line.startswith("PASS  ") for line in lines) == 31
+        assert lines[12] == f"FAIL  {name}: {raised}"
+        assert lines[-1] == "1 of 32 checks failed"
 
 
 def test_verify_has_no_bound_option(capsys):

@@ -54,6 +54,42 @@ def test_a008957_rejects_out_of_range():
         a008957_stirling(0, 0)
 
 
+def _a008957_routes_agree(n, k):
+    by_fd = a008957_fd(n, k)
+    assert by_fd == a008957_stirling(n, k), (n, k)
+    assert by_fd == triangle_entry_recurrence(2 * n - 1, 2 * n - 2 * k + 1), (n, k)
+
+
+# Rows 1..40 and one row past them; `verify` stops at row 15.
+_A008957_ROWS = [*range(1, 41), 60]
+
+
+def test_a008957_row_reads_agree_row_by_row():
+    for n in _A008957_ROWS:
+        for k in range(1, n + 1):
+            _a008957_routes_agree(n, k)
+
+
+def test_a008957_row_reads_agree_interleaved():
+    # k outer, n inner: every read switches the row that a008957_fd keeps.
+    for k in range(1, max(_A008957_ROWS) + 1):
+        for n in _A008957_ROWS:
+            if k <= n:
+                _a008957_routes_agree(n, k)
+
+
+def test_a008957_out_of_range_raises_before_any_extraction(monkeypatch):
+    import flick.triangle
+
+    def extraction(n):
+        raise AssertionError(f"extracted row {n}")
+
+    monkeypatch.setattr(flick.triangle, "triangle_row_extraction", extraction)
+    for n, k in [(3, 0), (3, 4), (0, 0), (-2, -1)]:
+        with pytest.raises(ValueError):
+            a008957_fd(n, k)
+
+
 # (power, order) with odd order <= power.
 odd_slots = st.integers(1, 400).flatmap(
     lambda power: st.tuples(

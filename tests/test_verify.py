@@ -62,3 +62,16 @@ def test_a_check_that_raises_after_passing_cases_fails_with_the_exception():
         "InexactDivisionError",
         "7 is not divisible by 2",
     )
+
+
+def test_a_check_that_raises_a_value_error_fails_with_the_exception():
+    # Any exception, not only an arithmetic fault, fails the check alone.
+    def check():
+        yield 1, 1, 1
+        raise ValueError("need 1 <= k <= n, got n=3, k=4")
+
+    assert _first_counterexample(check) == (
+        "raised",
+        "ValueError",
+        "need 1 <= k <= n, got n=3, k=4",
+    )
