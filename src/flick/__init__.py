@@ -3,11 +3,12 @@
 
 Every route computes in plain Python integers (`Fraction` is left only in
 the truncated series type `flick.series.SeriesQ`, which no route uses, and
-in its `verify` check); identities come with independent computation routes
-and the `verify` suite cross-checks them all.  The package re-exports the names the demos and the README use;
-every other name is imported from its submodule.  The re-exports are loaded
-on first use, so `import flick` (and every `flick` command) loads only the
-submodules it needs.
+in its `verify` check, and is imported only when a `SeriesQ` is built);
+identities come with independent computation routes and the `verify` suite
+cross-checks them all.  The package re-exports the names the demos and the
+README use; every other name is imported from its submodule.  The
+re-exports are loaded on first use, so `import flick` (and every `flick`
+command) loads only the submodules it needs.
 """
 
 import importlib

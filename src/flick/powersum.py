@@ -25,7 +25,7 @@ later calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import exact_div
 # triangle_entry_recurrence is unused here: the traced benchmark
@@ -71,8 +71,7 @@ def _basis_factor(n: int, k: int) -> int:
     return n + (k + 1) // 2 if k % 2 else n - k // 2
 
 
-@dataclass(frozen=True)
-class PowerSumResult:
+class PowerSumResult(NamedTuple):
     """S_m(n) along with the per-term breakdown (k, T(m,k), I_{k+1}(n))."""
 
     m: int

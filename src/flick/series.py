@@ -1,9 +1,10 @@
 """Integer polynomials, rational generating functions, exact formal series.
 
 Everything here is exact: polynomial coefficients are Python ints, series
-coefficients are Fractions, and a truncation order is carried explicitly so
-no operation can silently read terms it never computed.  A rational
-generating function is a plain (numerator, denominator) pair of `PolyZ`.
+coefficients are Fractions (`fractions` is imported only when a `SeriesQ` is
+built), and a truncation order is carried explicitly so no operation can
+silently read terms it never computed.  A rational generating function is a
+plain (numerator, denominator) pair of `PolyZ`.
 
 The two Bell routes here never read the triangle, and both are quadratic in
 big-integer steps: `bell_closed_form(n)` runs an integer recurrence for the
@@ -15,9 +16,12 @@ type; neither route needs it.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exact import exact_div
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "PolyZ",
@@ -182,17 +186,20 @@ class SeriesQ:
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: list[Fraction], order: int) -> None:
+    def __init__(self, coeffs: list[Fraction | int], order: int) -> None:
         if len(coeffs) != order:
             raise ValueError("need exactly `order` coefficients")
+        # Imported here, so that only building a series loads `fractions`.
+        from fractions import Fraction
+
         self.coeffs = [Fraction(c) for c in coeffs]
         self.order = order
 
     @classmethod
     def one(cls, order: int) -> SeriesQ:
-        coeffs = [Fraction(0)] * order
+        coeffs = [0] * order
         if order > 0:
-            coeffs[0] = Fraction(1)
+            coeffs[0] = 1
         return cls(coeffs, order)
 
     def __eq__(self, other) -> bool:
@@ -204,7 +211,7 @@ class SeriesQ:
 
     def __mul__(self, other: SeriesQ) -> SeriesQ:
         order = min(self.order, other.order)
-        out = [Fraction(0)] * order
+        out = [0] * order
         for i, a in enumerate(self.coeffs[:order]):
             if a == 0:
                 continue

@@ -7,7 +7,10 @@ Three independent ways to the same numbers:
   * a binomial sum against Stirling numbers of the second kind.
 
 The last two are index maps, power 2n+k-2 and order 2n-1, over the odd-slot
-kernels of `flick.stirling`, which they share with A008957.
+kernels of `flick.stirling`, which they share with A008957.  They import
+those kernels on first call, and the column fit imports `flick.series` on
+first call, so reading the grid alone (`flick todd`, `row`, `col`) loads
+neither module.
 
 The array is the odd-column sub-grid of the flickering triangle,
 Todd(m, k) = T(2m + k - 2, 2m - 1), and its odd columns factor as
@@ -19,11 +22,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import exact_div
-from .series import PolyZ
-from .stirling import _odd_slot_difference, _odd_slot_stirling
+
+if TYPE_CHECKING:
+    from .series import PolyZ
 
 __all__ = [
     "ColumnFactorization",
@@ -82,6 +86,8 @@ def todd_finite_difference(n: int, k: int) -> int:
     j^(2n+k-2) over (2n-1)!."""
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
+    from .stirling import _odd_slot_difference
+
     return _odd_slot_difference(2 * n + k - 2, 2 * n - 1)
 
 
@@ -90,6 +96,8 @@ def todd_stirling(n: int, k: int) -> int:
     sum_j C(2n+k-2, j) (1-n)^(2n+k-2-j) S2(j, 2n-1)."""
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
+    from .stirling import _odd_slot_stirling
+
     return _odd_slot_stirling(2 * n + k - 2, 2 * n - 1)
 
 
@@ -120,6 +128,8 @@ def base_poly(m: int) -> PolyZ:
     """Base polynomial T_m(n) = prod_{i=0..m} (n+i) * prod_{j=1..m} (2n+2j-1)."""
     if m < 0:
         raise ValueError("m must be >= 0")
+    from .series import PolyZ
+
     poly = PolyZ([1])
     for i in range(m + 1):
         poly = poly * PolyZ([i, 1])
@@ -128,8 +138,7 @@ def base_poly(m: int) -> PolyZ:
     return poly
 
 
-@dataclass(frozen=True)
-class ColumnFactorization:
+class ColumnFactorization(NamedTuple):
     """Todd(n, 2m+1) = base(n) * numerator(n) / denominator, exactly.
 
     denominator > 0 and gcd(content(numerator), denominator) = 1.
@@ -151,6 +160,8 @@ class ColumnFactorization:
 def _newton_polynomial(leads: list[int]) -> PolyZ:
     """d! * sum_j leads[j] * C(n-1, j) for d = len(leads) - 1, by Horner's
     rule over the integer terms (d!/j!) * (n-1)(n-2)...(n-j)."""
+    from .series import PolyZ
+
     poly, weight = PolyZ([]), 1  # weight = d!/j!
     for j in range(len(leads) - 1, -1, -1):
         poly = poly * PolyZ([-(j + 1), 1]) + PolyZ([leads[j] * weight])
@@ -169,6 +180,8 @@ def fit_column_polynomial(m: int) -> ColumnFactorization:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    from .series import PolyZ
+
     base, column, cap = base_poly(m), 2 * m + 1, 4 * m
 
     # U(n) = num / den in lowest terms; T_m(n) > 0 for every n >= 1.

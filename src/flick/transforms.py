@@ -10,7 +10,7 @@ so row n starts with the n-th sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .triangle import _next_row
 
@@ -25,12 +25,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntSeq:
+class IntSeq(NamedTuple):
     """A finite integer sequence plus the index of its first element."""
 
     values: list[int]
-    offset: int = 0
+    offset: int
 
 
 def row_sums(count: int) -> IntSeq:

@@ -24,7 +24,7 @@ two rather than assuming them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import _StepTable, exact_div
 
@@ -36,13 +36,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FlickerTriangle:
+class FlickerTriangle(NamedTuple):
     """Rows 1..count of the triangle; rows[n-1][k-1] is T(n, k)."""
 
     rows: list[list[int]]
 
     def __len__(self) -> int:
+        # The row count, not the tuple's one field; so `_make` and `_replace`,
+        # which check the field count with len(), refuse any other count.
         return len(self.rows)
 
 

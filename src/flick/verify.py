@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterator
 
 # `power_sum` is read from its module at each call: the traced benchmark
@@ -26,7 +27,7 @@ from typing import Callable, Iterator
 from . import powersum
 from .bfile import format_bfile, parse_bfile
 from .exact import exact_div
-from .powersum import fallshift, integral_basis, power_sum_naive
+from .powersum import fallshift, integral_basis
 from .series import (
     SeriesQ,
     bell_closed_form,
@@ -329,9 +330,15 @@ def _check_divisibility():
 
 @_check("powersum: basis method equals the naive oracle")
 def _check_oracle_grid():
+    # Want is the literal sum 1^m + ... + n^m, read from the prefix sums of
+    # one list of powers per m, each power i^m made from i^(m-1) * i.
+    grid = [*range(1, 101), 10**3, 10**4]
+    powers = [1] * (grid[-1] + 1)  # powers[i] = i^(m-1), from m = 1
     for m in range(1, 31):
-        for n in [*range(1, 101), 10**3, 10**4]:
-            yield m, n, powersum.power_sum(m, n).value, power_sum_naive(m, n)
+        powers = [p * i for i, p in enumerate(powers)]  # powers[0] = 0^m = 0
+        sums = list(accumulate(powers))
+        for n in grid:
+            yield m, n, powersum.power_sum(m, n).value, sums[n]
 
 
 @_check("powersum: classical closed forms for m = 1, 2, 3")

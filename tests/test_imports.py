@@ -29,11 +29,14 @@ finally:
 sys.exit(code)
 """
 
-_LOADED_DATACLASSES = """
+# Runs one command the same way, then prints which of the slow-to-import
+# standard modules it loaded.
+_LOADED_STDLIB = """
 import sys
 from flick.cli import main
 code = main(sys.argv[1:])
-print("dataclasses" in sys.modules)
+watched = ("dataclasses", "inspect", "fractions", "decimal")
+print(*(m for m in watched if m in sys.modules))
 sys.exit(code)
 """
 
@@ -58,14 +61,9 @@ def _run(source: str, *argv: str, code: int = 0) -> subprocess.CompletedProcess:
 
 
 _CLI = {"flick", "flick.cli", "flick.exact", "flick.triangle"}
-_TODD = {
-    "flick",
-    "flick.cli",
-    "flick.exact",
-    "flick.series",
-    "flick.stirling",
-    "flick.todd",
-}
+# The grid commands load no closed form: `flick.todd` imports the kernels of
+# `flick.stirling` and the `PolyZ` of `flick.series` only when they are called.
+_TODD = {"flick", "flick.cli", "flick.exact", "flick.todd"}
 _GF = {"flick", "flick.cli", "flick.exact", "flick.series"}
 _EVERY = _CLI | {
     "flick.bfile",
@@ -78,35 +76,26 @@ _EVERY = _CLI | {
 }
 
 
-@pytest.mark.parametrize(
-    "argv, modules",
-    [
-        (["triangle", "--rows", "5"], _CLI),
-        (["triangle", "--rows", "5", "--format", "json"], _CLI),
-        (["powersum", "5", "10"], _CLI | {"flick.powersum"}),
-        (["bell", "--count", "5"], _CLI | {"flick.transforms"}),
-        (["bell", "--kernels", "2", "--count", "5"], _CLI | {"flick.transforms"}),
-        (["todd", "--rows", "2", "--cols", "2"], _TODD),
-        (["row", "2", "--count", "3"], _TODD),
-        (["col", "3", "--count", "3"], _TODD),
-        (["gf", "--row", "3", "--order", "5"], _GF),
-        (["fitcol", "2"], _TODD),
-        (["verify"], _EVERY),
-    ],
-    ids=[
-        "triangle",
-        "triangle-json",
-        "powersum",
-        "bell",
-        "bell-kernels",
-        "todd",
-        "row",
-        "col",
-        "gf",
-        "fitcol",
-        "verify",
-    ],
-)
+# Every subcommand, with the flick modules it loads.
+_COMMANDS = {
+    "triangle": (["triangle", "--rows", "5"], _CLI),
+    "triangle-json": (["triangle", "--rows", "5", "--format", "json"], _CLI),
+    "powersum": (["powersum", "5", "10"], _CLI | {"flick.powersum"}),
+    "bell": (["bell", "--count", "5"], _CLI | {"flick.transforms"}),
+    "bell-kernels": (
+        ["bell", "--kernels", "2", "--count", "5"],
+        _CLI | {"flick.transforms"},
+    ),
+    "todd": (["todd", "--rows", "2", "--cols", "2"], _TODD),
+    "row": (["row", "2", "--count", "3"], _TODD),
+    "col": (["col", "3", "--count", "3"], _TODD),
+    "gf": (["gf", "--row", "3", "--order", "5"], _GF),
+    "fitcol": (["fitcol", "2"], _TODD | {"flick.series"}),
+    "verify": (["verify"], _EVERY),
+}
+
+
+@pytest.mark.parametrize("argv, modules", list(_COMMANDS.values()), ids=list(_COMMANDS))
 def test_command_imports_only_what_it_runs(argv, modules):
     proc = _run(_RUN_COMMAND, *argv)
     assert set(proc.stderr.split()) == modules
@@ -129,10 +118,16 @@ def test_usage_error_loads_no_engine(argv):
     assert set(loaded.split()) == {"flick", "flick.cli"}
 
 
-def test_gf_does_not_load_dataclasses():
-    # The generating functions are plain (numerator, denominator) pairs.
-    proc = _run(_LOADED_DATACLASSES, "gf", "--row", "3", "--order", "5", "--odd")
-    assert proc.stdout.splitlines()[-1] == "False"
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in _COMMANDS.values()], ids=list(_COMMANDS)
+)
+def test_no_command_loads_dataclasses_and_only_verify_loads_fractions(argv):
+    # The result types are named tuples, so no command loads `dataclasses`
+    # (nor `inspect`, which it imports); `Fraction` is built only by the
+    # series check of `verify`.
+    proc = _run(_LOADED_STDLIB, *argv)
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded == (["fractions", "decimal"] if argv == ["verify"] else [])
 
 
 def test_bare_import_loads_no_submodule_and_lists_the_exports():

@@ -181,3 +181,12 @@ class TestSeriesQ:
         g = SeriesQ([Fraction(1), Fraction(1)], 2)
         assert (f * g).order == 2
         assert (f * g).coeffs == [Fraction(1), Fraction(3)]
+        assert all(type(c) is Fraction for c in (f * g).coeffs)
+
+    def test_one_is_the_unit_at_every_order(self):
+        # Order 0 is the empty series: `one` sets no constant term there.
+        assert SeriesQ.one(0) == SeriesQ([], 0)
+        assert SeriesQ.one(3).coeffs == [Fraction(1), Fraction(0), Fraction(0)]
+        assert all(type(c) is Fraction for c in SeriesQ.one(3).coeffs)
+        f = SeriesQ([Fraction(1, 2), Fraction(-3), Fraction(2, 5)], 3)
+        assert f * SeriesQ.one(3) == f

@@ -99,3 +99,8 @@ def test_intseq_equality_is_values_and_offset():
     assert seq == IntSeq([1, 2, 3], offset=1)
     assert seq != IntSeq([1, 2, 3], offset=0)
     assert seq != [1, 2, 3]
+
+
+def test_intseq_needs_its_offset():
+    with pytest.raises(TypeError):
+        IntSeq([1, 2, 3])

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+import flick.powersum
 import flick.verify
 from flick.exact import exact_div
 from flick.verify import _CHECKS, _first_counterexample, run_suite
@@ -37,6 +38,20 @@ def test_identity_check_reports_its_first_counterexample(
     fn = getattr(flick.verify, binding)
     monkeypatch.setattr(flick.verify, binding, _off_by_one_at(fn, cell))
     assert _first_counterexample(getattr(flick.verify, check)) == counterexample
+
+
+def test_oracle_grid_reports_an_off_by_one_power_sum(monkeypatch):
+    # The check reads `power_sum` from `flick.powersum` at each call.  Its
+    # cases (m, n, got, want) run over n for each m, so m = 1 passes whole
+    # first; S_2(3) = 1 + 4 + 9 = 14.
+    power_sum = flick.powersum.power_sum
+
+    def off_by_one(m, n):
+        result = power_sum(m, n)
+        return result._replace(value=result.value + ((m, n) == (2, 3)))
+
+    monkeypatch.setattr(flick.powersum, "power_sum", off_by_one)
+    assert _first_counterexample(flick.verify._check_oracle_grid) == (2, 3, 15, 14)
 
 
 def test_every_check_is_in_the_suite_once_under_a_unique_name():
