@@ -21,6 +21,10 @@ benchmark (`bench/layers.py`) wraps by (module, attribute).  `power_sum`,
 modules at call time instead, since the trace wraps them there first.  Once
 the trace binds each span by its defining function, plain imports inside
 the handlers will do.
+
+The writers build every format from decimal strings made once per distinct
+value of a row and its row before, and write JSON by joining them, so no
+command loads `json`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from itertools import zip_longest
+from typing import Callable, Iterable, Iterator
 
 from . import _lazy_getattr
 
@@ -56,38 +61,52 @@ __getattr__ = _lazy_getattr(globals(), _LIBRARY)
 _this = sys.modules[__name__]
 
 
+def _json_record(name: str, offset: int, values: str) -> str:
+    """What `json.dumps` prints for {"name": name, "offset": offset, "values":
+    ...}, given `values` already as JSON.  Names and decimal strings hold no
+    character that JSON escapes."""
+    return f'{{"name": "{name}", "offset": {offset}, "values": {values}}}'
+
+
+def _json_strings(cells: Iterable[str]) -> str:
+    """A JSON array of the strings `cells`, spaced as `json.dumps` spaces it."""
+    return "[" + ", ".join(map('"{}"'.format, cells)) + "]"
+
+
 def _sequence_output(name: str, values: list[int], offset: int, fmt: str) -> str:
     if fmt in ("table", "csv"):
-        return ",".join(str(v) for v in values)
+        return ",".join(map(str, values))
     if fmt == "json":
-        import json
-
-        return json.dumps(
-            {"name": name, "offset": offset, "values": [str(v) for v in values]}
-        )
+        return _json_record(name, offset, _json_strings(map(str, values)))
     # "bfile": the parser admits no format outside FORMATS.
     return _this.format_bfile(values, offset).rstrip("\n")
 
 
+def _decimal_rows(rows: list[list[int]]) -> Iterator[list[str]]:
+    """Each row as decimal strings.  A value is converted once and its string
+    reused where it appears again in its row or in the row after, so the
+    memo holds two rows: an even triangle row repeats the odd slots of the
+    row before."""
+    before: dict[int, str] = {}
+    for row in rows:
+        strings = dict.fromkeys(row)
+        for value in strings:
+            strings[value] = before.get(value) or str(value)
+        yield list(map(strings.__getitem__, row))
+        before = strings
+
+
 def _grid_output(name: str, rows: list[list[int]], offset: int, fmt: str) -> str:
     if fmt == "table":
-        cells = [[str(v) for v in row] for row in rows]
-        widths: dict[int, int] = {}
-        for row in cells:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths.get(i, 0), len(cell))
-        lines = [
-            "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip()
-            for row in cells
-        ]
-        return "\n".join(lines)
+        cells = list(_decimal_rows(rows))
+        columns = zip_longest(*cells, fillvalue="")
+        widths = [max(map(len, column)) for column in columns]
+        return "\n".join("  ".join(map(str.rjust, row, widths)) for row in cells)
     if fmt == "csv":
-        return "\n".join(",".join(str(v) for v in row) for row in rows)
+        return "\n".join(map(",".join, _decimal_rows(rows)))
     # "json": the parser admits no format outside GRID_FORMATS.
-    import json
-
-    values = [[str(v) for v in row] for row in rows]
-    return json.dumps({"name": name, "offset": offset, "values": values})
+    values = ", ".join(map(_json_strings, _decimal_rows(rows)))
+    return _json_record(name, offset, f"[{values}]")
 
 
 @contextmanager

@@ -36,12 +36,17 @@ def row_sums(count: int) -> IntSeq:
     """a(n) = sum_k T(n, k) for n = 1..count."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    # Only the running row is kept: each row sum needs just the row before it.
+    # Only the running row is kept.  Each row sum is one odd-slot sum: odd
+    # rows are zero at even k, and an even row's even slots are the odd slots
+    # of the row before.
     sums = []
     row: list[int] = []
-    for _ in range(count):
+    previous = 0  # the odd-slot sum of row n - 1
+    for n in range(1, count + 1):
         row = _next_row(row)
-        sums.append(sum(row))
+        odd = sum(row[0::2])
+        sums.append(odd + previous if n % 2 == 0 else odd)
+        previous = odd
     return IntSeq(sums, offset=1)
 
 

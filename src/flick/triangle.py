@@ -16,9 +16,21 @@ the parities of n and k:
     odd k,  odd n:   T(n, k) = ((k + 1) / 2) * T(n - 1, k)
                                 + (2 / (k - 1)) * T(n - 1, k - 2)
 
-with boundaries T(n, 1) = T(n, n) = 1.  Every division above is exact in
-integers: (k + 1) / 2 is an integer for odd k, and the code asserts the other
-two rather than assuming them.
+with boundaries T(n, 1) = T(n, n) = 1.  The two divisions cancel.  For even
+n and even k, T(n, k) = (2 / k) * (k / 2) * T(n - 1, k - 1) = T(n - 1, k - 1);
+for odd n and odd k, the term (2 / (k - 1)) * T(n - 1, k - 2) is that same
+collapse on the even row n - 1, so it equals T(n - 1, k - 1).  The code fills
+the division-free form
+
+    even n:  T(n, 2j + 1) = (j + 1) * T(n - 1, 2j + 1)
+             T(n, 2j + 2) = T(n - 1, 2j + 1)
+    odd n:   T(n, 2j + 1) = (j + 1) * T(n - 1, 2j + 1) + T(n - 1, 2j)
+
+with T(n - 1, k) = 0 outside 1 <= k <= n - 1: one product per odd slot, one
+sum per odd slot on odd rows, and an even row's even slots copied from the
+odd slots of the row before.  The recurrence as first written, divisions and
+all, has one executable copy: the `verify` check "triangle: recurrence
+divisions exact, entries nonnegative" steps each filled row by it.
 """
 
 from __future__ import annotations
@@ -80,24 +92,23 @@ def triangle_row_extraction(n: int) -> list[int]:
 
 
 def _next_row(prev: list[int]) -> list[int]:
-    """Row n = len(prev) + 1 from row n - 1 (row 1 from the empty row).
+    """Row n = len(prev) + 1 from row n - 1 (row 1 from the empty row), by
+    the division-free form of the recurrence in the module docstring.
 
-    This is the only copy of the parity-split recurrence in the module
-    docstring, filled left to right so each even slot can read the odd slot
-    just before it.  The factors 2 / k and 2 / (k - 1) are applied as
-    exact_div by k / 2 and (k - 1) / 2, exact precisely when the originals are.
+    The zero padding of the odd-row sum supplies the boundaries
+    T(n, 1) = T(n, n) = 1; only row 1 has no row before it to pad.
     """
     n = len(prev) + 1
-    row = [1] * n
-    odd_n = n % 2 == 1
-    for k in range(2, n):
-        if k % 2 == 0:
-            row[k - 1] = 0 if odd_n else exact_div(row[k - 2], k // 2)
-        else:
-            value = (k + 1) // 2 * prev[k - 1]
-            if odd_n:
-                value += exact_div(prev[k - 3], (k - 1) // 2)
-            row[k - 1] = value
+    if n == 1:
+        return [1]
+    odd = prev[0::2]  # T(n - 1, 1), T(n - 1, 3), ...
+    row = [0] * n
+    if n % 2 == 0:
+        row[0::2] = map(operator.mul, range(1, n // 2 + 1), odd)
+        row[1::2] = odd
+    else:
+        scaled = map(operator.mul, range(1, n // 2 + 2), odd + [0])
+        row[0::2] = map(operator.add, scaled, [0] + prev[1::2])
     return row
 
 

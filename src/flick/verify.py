@@ -115,14 +115,36 @@ def _check_triangle_methods():
         yield n, by_extraction.rows[n - 1], by_recurrence.rows[n - 1]
 
 
+def _paper_step(prev: list[int]) -> list[int]:
+    """Row n from row n - 1 by the recurrence as the paper writes it, with
+    its factors 2 / k and 2 / (k - 1) as exact divisions.  The fill uses the
+    division-free form (see `flick.triangle`); this is the one copy of the
+    paper's form."""
+    n = len(prev) + 1
+    odd_n = n % 2 == 1
+    row = [1] * n
+    for k in range(2, n):
+        if k % 2 == 0:
+            value = 0 if odd_n else exact_div(2 * row[k - 2], k)
+        else:
+            value = (k + 1) // 2 * prev[k - 1]
+            if odd_n:
+                value += exact_div(2 * prev[k - 3], k - 1)
+        row[k - 1] = value
+    return row
+
+
 @_check("triangle: recurrence divisions exact, entries nonnegative")
 def _check_triangle_integrality():
-    # Case (n, k, T(n, k) >= 0, True); an inexact division in the
-    # recurrence raises, and fails the check as ("raised", ...).
-    triangle = triangle_rows(200, method="recurrence")
-    for n, row in enumerate(triangle.rows, start=1):
-        for k, value in enumerate(row, start=1):
-            yield n, k, value >= 0, True
+    # Cases ("sign", n, the k with T(n, k) < 0, []) and ("step", n, row n - 1
+    # stepped by the paper's recurrence, row n); a division that leaves a
+    # remainder raises, and fails the check as ("raised", ...).
+    rows = triangle_rows(200, method="recurrence").rows
+    prev: list[int] = []
+    for n, row in enumerate(rows, start=1):
+        yield "sign", n, [k for k, value in enumerate(row, start=1) if value < 0], []
+        yield "step", n, _paper_step(prev), row
+        prev = row
 
 
 @_check("triangle: zeros exactly at even k, odd n, 1 < k < n")
@@ -136,10 +158,14 @@ def _check_zero_pattern():
 
 @_check("triangle: T(n, k) = T(n-1, k-1) for even n, even k")
 def _check_collapse():
-    rows = triangle_rows(200, method="recurrence").rows
-    for n in range(4, 201, 2):
-        for k in range(2, n, 2):
-            yield n, k, rows[n - 1][k - 1], rows[n - 2][k - 2]
+    # Case (method, even n, [T(n, 2), T(n, 4), ..., T(n, n)], [T(n-1, 1),
+    # T(n-1, 3), ..., T(n-1, n-1)]).  The recurrence fill copies these slots,
+    # so its rows hold the identity by construction; the extraction rows,
+    # which do not, are the test of it.
+    for method, count in (("recurrence", 200), ("extraction", 60)):
+        rows = triangle_rows(count, method=method).rows
+        for n in range(2, count + 1, 2):
+            yield method, n, rows[n - 1][1::2], rows[n - 2][0::2]
 
 
 @_check("triangle: n^m expands over the fallshift basis")

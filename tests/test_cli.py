@@ -62,6 +62,60 @@ def test_triangle_json_single_row(capsys):
     assert payload["offset"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["triangle", "--rows", "12"],
+        ["triangle", "--rows", "12", "--method", "extraction"],
+        ["todd", "--rows", "6", "--cols", "9"],
+        ["row", "4", "--count", "9"],
+        ["col", "5", "--count", "9"],
+        ["bell", "--count", "12"],
+        ["bell", "--kernels", "3", "--count", "12"],
+    ],
+    ids=["triangle", "triangle-extraction", "todd", "row", "col", "bell", "kernels"],
+)
+def test_json_output_is_what_json_dumps_prints(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out)) + "\n"
+
+
+def _plain_grid(rows: list[list[int]], fmt: str) -> str:
+    """A grid rendered with one str() per entry: csv, or the table, each
+    column right-aligned to its widest entry and joined by two spaces."""
+    cells = [[str(v) for v in row] for row in rows]
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in cells)
+    widths: dict[int, int] = {}
+    for row in cells:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths.get(i, 0), len(cell))
+    return "".join(
+        "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)) + "\n"
+        for row in cells
+    )
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_grids_print_as_plain_str_renderings(capsys, fmt):
+    # Each value is converted once and its string reused in the next row;
+    # every row count from 1 to 12 pins that memo and the column widths.
+    from flick.todd import todd_row
+    from flick.triangle import triangle_rows
+
+    for method in ("recurrence", "extraction"):
+        rows = triangle_rows(12, method=method).rows
+        for count in range(1, 13):
+            argv = ["--rows", str(count), "--method", method, "--format", fmt]
+            code, out, _ = run_cli(capsys, "triangle", *argv)
+            assert code == 0
+            assert out == _plain_grid(rows[:count], fmt)
+    corner = [todd_row(n, 11) for n in range(1, 8)]
+    argv = ["--rows", "7", "--cols", "11", "--format", fmt]
+    assert run_cli(capsys, "todd", *argv) == (0, _plain_grid(corner, fmt), "")
+
+
 def usage_error(capsys, *argv: str) -> str:
     """The parser's error line for `argv`, which must exit 2."""
     with pytest.raises(SystemExit) as excinfo:

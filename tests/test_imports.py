@@ -35,7 +35,7 @@ _LOADED_STDLIB = """
 import sys
 from flick.cli import main
 code = main(sys.argv[1:])
-watched = ("dataclasses", "inspect", "fractions", "decimal")
+watched = ("dataclasses", "inspect", "fractions", "decimal", "json")
 print(*(m for m in watched if m in sys.modules))
 sys.exit(code)
 """
@@ -88,6 +88,7 @@ _COMMANDS = {
     ),
     "todd": (["todd", "--rows", "2", "--cols", "2"], _TODD),
     "row": (["row", "2", "--count", "3"], _TODD),
+    "row-json": (["row", "2", "--count", "3", "--format", "json"], _TODD),
     "col": (["col", "3", "--count", "3"], _TODD),
     "gf": (["gf", "--row", "3", "--order", "5"], _GF),
     "fitcol": (["fitcol", "2"], _TODD | {"flick.series"}),
@@ -124,7 +125,8 @@ def test_usage_error_loads_no_engine(argv):
 def test_no_command_loads_dataclasses_and_only_verify_loads_fractions(argv):
     # The result types are named tuples, so no command loads `dataclasses`
     # (nor `inspect`, which it imports); `Fraction` is built only by the
-    # series check of `verify`.
+    # series check of `verify`; and the CLI writes its JSON output itself, so
+    # no command loads `json`.
     proc = _run(_LOADED_STDLIB, *argv)
     loaded = proc.stdout.splitlines()[-1].split()
     assert loaded == (["fractions", "decimal"] if argv == ["verify"] else [])

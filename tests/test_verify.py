@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 import flick.powersum
+import flick.triangle
 import flick.verify
 from flick.exact import exact_div
 from flick.verify import _CHECKS, _first_counterexample, run_suite
@@ -52,6 +53,53 @@ def test_oracle_grid_reports_an_off_by_one_power_sum(monkeypatch):
 
     monkeypatch.setattr(flick.powersum, "power_sum", off_by_one)
     assert _first_counterexample(flick.verify._check_oracle_grid) == (2, 3, 15, 14)
+
+
+@pytest.mark.parametrize(
+    "fault, counterexample",
+    [
+        (lambda v: v + 1, ("step", 5, [1, 0, 5, 0, 1], [1, 0, 6, 0, 1])),
+        (lambda v: -v, ("sign", 5, [3], [])),
+    ],
+    ids=["step", "sign"],
+)
+def test_triangle_step_check_reports_a_fault_in_the_fill(
+    monkeypatch, fault, counterexample
+):
+    # The check steps each filled row by the paper's recurrence, by which
+    # T(5, 3) = ((3 + 1) / 2) * T(4, 3) + (2 / 2) * T(4, 1) = 2 * 2 + 1, and
+    # first reads each row's signs.  The fault is planted at T(5, 3).
+    next_row = flick.triangle._next_row
+
+    def faulted(prev):
+        row = next_row(prev)
+        if len(row) == 5:
+            row[2] = fault(row[2])
+        return row
+
+    monkeypatch.setattr(flick.triangle, "_next_row", faulted)
+    check = flick.verify._check_triangle_integrality
+    assert _first_counterexample(check) == counterexample
+
+
+def test_collapse_check_reports_a_fault_in_the_extraction_rows(monkeypatch):
+    # The recurrence rows hold the collapse by construction, so a fault planted
+    # at T(6, 4) = T(5, 3) = 5 is found in the extraction rows.
+    extract = flick.triangle.triangle_row_extraction
+
+    def faulted(n):
+        row = extract(n)
+        if n == 6:
+            row[3] += 1
+        return row
+
+    monkeypatch.setattr(flick.triangle, "triangle_row_extraction", faulted)
+    assert _first_counterexample(flick.verify._check_collapse) == (
+        "extraction",
+        6,
+        [1, 6, 1],
+        [1, 5, 1],
+    )
 
 
 def test_every_check_is_in_the_suite_once_under_a_unique_name():
