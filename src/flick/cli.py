@@ -1,26 +1,25 @@
 """Command-line surface: compute, verify and export.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-error (an arithmetic fault such as an inexact division, a recursion limit, an
-operating-system error, or running out of memory).  All numeric output is full
+error (any exception a command raises).  All numeric output is full
 decimal, of any length, and every command is deterministic for fixed
 arguments.
 
 The parser is the only gate: each integer's `type` checks its lower bound,
 and grids (`triangle`, `todd`) offer no b-file, so a usage error exits 2
-from argparse before any engine is imported.  A `ValueError` raised by the
-library itself prints `error: ...` and also exits 2.
+from argparse before any engine is imported.  Once the arguments parse, an
+exception from the command prints one `error: internal: ...` line and exits
+3.
 
 Each command imports only the modules it runs, so a cold `flick` process
-pays for no engine it does not use.  The library functions in `_LIBRARY`
-are attributes of this module, loaded on first read (PEP 562), and the
+pays for no engine it does not use.  `_LIBRARY` is exactly what the traced
+benchmark (`bench/layers.py`) wraps by (module, attribute) on this module:
+those names are attributes here, loaded on first read (PEP 562), and the
 handlers call them through `_this`, the module they run in (`__main__`
-under `python -m`).  That keeps one binding per name here, which the traced
-benchmark (`bench/layers.py`) wraps by (module, attribute).  `power_sum`,
-`fit_column_polynomial` and `expand_rational` are imported from their own
-modules at call time instead, since the trace wraps them there first.  Once
-the trace binds each span by its defining function, plain imports inside
-the handlers will do.
+under `python -m`).  Every other library function is imported inside its
+handler.  The trace wraps `power_sum`, `fit_column_polynomial` and
+`expand_rational` in their own modules, so an attribute here would wrap them
+twice.
 
 The writers build every format from decimal strings made once per distinct
 value of a row and its row before, and write JSON by joining them, so no
@@ -42,13 +41,11 @@ __all__ = ["main"]
 FORMATS = ("table", "csv", "json", "bfile")
 GRID_FORMATS = FORMATS[:-1]  # a b-file holds one sequence
 
-# Library functions the handlers call, and the module that defines each.
+# The names the traced benchmark wraps on this module, and the module that
+# defines each.
 _LIBRARY = {
     "format_bfile": "bfile",
     "parse_bfile": "bfile",  # unused here: the trace times b-file parsing under it
-    "power_sum_naive": "powersum",
-    "row_gf_full": "series",
-    "row_gf_odd": "series",
     "todd_column": "todd",
     "todd_row": "todd",
     "kernel": "transforms",
@@ -165,12 +162,12 @@ def _cmd_line(args: argparse.Namespace) -> int:
 
 
 def _cmd_powersum(args: argparse.Namespace) -> int:
-    from .powersum import power_sum
+    from .powersum import power_sum, power_sum_naive
 
     result = power_sum(args.m, args.n)
     print(result.value)
     if args.check:
-        if result.value == _this.power_sum_naive(args.m, args.n):
+        if result.value == power_sum_naive(args.m, args.n):
             print("OK")
         else:
             print("ERROR")
@@ -190,9 +187,9 @@ def _cmd_bell(args: argparse.Namespace) -> int:
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
-    from .series import expand_rational
+    from .series import expand_rational, row_gf_full, row_gf_odd
 
-    num, den = _this.row_gf_odd(args.row) if args.odd else _this.row_gf_full(args.row)
+    num, den = row_gf_odd(args.row) if args.odd else row_gf_full(args.row)
     coeffs = expand_rational(num, den, args.order)
     print(f"numerator: {num.to_str('x')}")
     print(f"denominator: {den.to_str('x')}")
@@ -304,10 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         try:
             return args.func(args)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (ArithmeticError, RecursionError, OSError, MemoryError) as exc:
+        except Exception as exc:
             print(f"error: internal: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return 3
 

@@ -149,11 +149,11 @@ def _check_triangle_integrality():
 
 @_check("triangle: zeros exactly at even k, odd n, 1 < k < n")
 def _check_zero_pattern():
-    # Case (n, k, T(n, k) == 0, whether T(n, k) should be 0).
-    triangle = triangle_rows(200, method="recurrence")
-    for n, row in enumerate(triangle.rows, start=1):
-        for k, value in enumerate(row, start=1):
-            yield n, k, value == 0, k % 2 == 0 and n % 2 == 1 and 1 < k < n
+    # Case (n, [k with T(n, k) = 0], [the k where T(n, k) should be 0]).
+    rows = triangle_rows(200, method="recurrence").rows
+    for n, row in enumerate(rows, start=1):
+        zeros = [k for k, value in enumerate(row, start=1) if value == 0]
+        yield n, zeros, list(range(2, n, 2)) if n % 2 else []
 
 
 @_check("triangle: T(n, k) = T(n-1, k-1) for even n, even k")

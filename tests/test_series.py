@@ -92,6 +92,8 @@ class TestExpandRational:
 
     def test_order_zero(self):
         assert expand_rational(PolyZ([1]), PolyZ([1, -1]), 0) == []
+        with pytest.raises(ValueError, match="^order must be >= 0$"):
+            expand_rational(PolyZ([1]), PolyZ([1, -1]), -1)
 
     def test_pole_at_origin_rejected(self):
         for den in (PolyZ([0, 1]), PolyZ([])):

@@ -175,6 +175,8 @@ def test_base_poly():
     assert list(poly1.coeffs) == [0, 1, 3, 2]  # n(n+1)(2n+1) = n + 3n^2 + 2n^3
     assert poly1(3) == 84
     assert todd_recurrence(3, 3) == 14 == 84 // 6
+    with pytest.raises(ValueError, match="^m must be >= 0$"):
+        base_poly(-1)
 
 
 def test_fit_column_m1_and_m2():

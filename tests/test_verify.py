@@ -10,11 +10,44 @@ import flick.powersum
 import flick.triangle
 import flick.verify
 from flick.exact import exact_div
-from flick.verify import _CHECKS, _first_counterexample, run_suite
+from flick.transforms import IntSeq
+from flick.triangle import FlickerTriangle
+from flick.verify import (
+    _CHECKS,
+    REFERENCE_BELL,
+    REFERENCE_KERNELS,
+    REFERENCE_TABLE,
+    _first_counterexample,
+    run_suite,
+)
 
 
-def _off_by_one_at(fn, cell):
-    return lambda *args: fn(*args) + (args == cell)
+def _planted_at(fn, cell, fault):
+    """`fn` with `fault` applied to its result when its positional arguments
+    are `cell`."""
+
+    def planted(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        return fault(result) if args == cell else result
+
+    return planted
+
+
+def _bump(values, i):
+    """A copy of `values` with values[i] one larger."""
+    return [*values[:i], values[i] + 1, *values[i + 1 :]]
+
+
+def _bump_row(n, i):
+    """A fault for a `FlickerTriangle`: T(n, i + 1) one larger."""
+    return lambda t: FlickerTriangle(
+        [_bump(row, i) if len(row) == n else row for row in t.rows]
+    )
+
+
+def _bump_values(i):
+    """A fault for an `IntSeq`: its term i one larger."""
+    return lambda seq: IntSeq(_bump(seq.values, i), seq.offset)
 
 
 @pytest.mark.parametrize(
@@ -30,29 +63,139 @@ def _off_by_one_at(fn, cell):
         ("_check_subgrid", "todd_recurrence", (2, 3), (2, 3, 6, 5)),
         # (n, m, lhs, rhs): Todd(2, 3) - Todd(1, 3) = 5 - 1 = 2^2 * Todd(2, 1).
         ("_check_transition", "todd_recurrence", (2, 3), (2, 1, 5, 4)),
+        # (route, n, k, todd, recurrence): Todd(2, 3) = 5.
+        (
+            "_check_todd_methods",
+            "todd_finite_difference",
+            (2, 3),
+            ("finite difference", 2, 3, 6, 5),
+        ),
+        # (route, n, k, a008957, tri): A008957(3, 2) = T(5, 3) = 5.
+        ("_check_a008957", "a008957_stirling", (3, 2), ("stirling sum", 3, 2, 6, 5)),
+        # (n, k, S2, partitions): {1..4} has 7 partitions into 2 blocks.
+        ("_check_stirling_oracle", "stirling2", (4, 2), (4, 2, 8, 7)),
+        # (route, n, closed form, row sum): a(3) = 1 + 0 + 1.
+        ("_check_bell_routes", "bell_closed_form", (3,), ("closed form", 3, 3, 2)),
+        # (n, k, I_2(n) mod 2!, 0): the cases run over n for k = 1 first.
+        ("_check_divisibility", "integral_basis", (3, 2), (3, 1, 1, 0)),
+        # (m, n, fit, todd): the first held-out value of column 3 is Todd(10, 3)
+        # = 1^2 + ... + 10^2.
+        ("_check_fit_heldout", "todd_recurrence", (10, 3), (1, 10, 385, 386)),
     ],
-    ids=["power-expansion", "lemma", "telescoping", "subgrid", "transition"],
+    ids=[
+        "power-expansion",
+        "lemma",
+        "telescoping",
+        "subgrid",
+        "transition",
+        "todd-methods",
+        "a008957",
+        "stirling-oracle",
+        "bell-routes",
+        "divisibility",
+        "fit-heldout",
+    ],
 )
 def test_identity_check_reports_its_first_counterexample(
     monkeypatch, check, binding, cell, counterexample
 ):
     fn = getattr(flick.verify, binding)
-    monkeypatch.setattr(flick.verify, binding, _off_by_one_at(fn, cell))
+    monkeypatch.setattr(flick.verify, binding, _planted_at(fn, cell, lambda v: v + 1))
     assert _first_counterexample(getattr(flick.verify, check)) == counterexample
 
 
+@pytest.mark.parametrize(
+    "check, binding, cell, fault, counterexample",
+    [
+        # (k, Todd(2, k), floor(2^(k+1) / 3)): Todd(2, 5) = 21.
+        ("_check_todd_row_2", "todd_row", (2, 60), lambda r: _bump(r, 4), (5, 22, 21)),
+        # (slot, Todd(3, slot), h_1(1, 4, 9) = 1 + 4 + 9).
+        (
+            "_check_todd_row_3",
+            "todd_row",
+            (3, 60),
+            lambda r: _bump(r, 2),
+            ("odd", 3, 15, 14),
+        ),
+        # (n, row n, the reference row): Todd(2, 3) = 5.
+        (
+            "_check_reference_rows",
+            "todd_row",
+            (2, 8),
+            lambda r: _bump(r, 2),
+            (2, [1, 2, 6, *REFERENCE_TABLE[1][3:]], REFERENCE_TABLE[1]),
+        ),
+        # (k, column k, the reference prefix): Todd(2, 3) = 5.
+        (
+            "_check_reference_columns",
+            "todd_column",
+            (3, 5),
+            lambda c: _bump(c, 1),
+            (3, [1, 6, 14, 30, 55], [1, 5, 14, 30, 55]),
+        ),
+        # (n, odd slots of row 2n - 1, row n of A036969): T(5, 3) = 5.
+        ("_check_a036969", "triangle_rows", (79,), _bump_row(5, 2), (3, [1, 6, 1], [1, 5, 1])),
+        # (n, the k with T(n, k) = 0, the k where it should be): T(5, 2) = 0.
+        ("_check_zero_pattern", "triangle_rows", (200,), _bump_row(5, 1), (5, [4], [2, 4])),
+        # (q, i, sign of term i, (-1)^i): term 1 of kernel 2 is -1.
+        ("_check_kernel_signs", "kernel", (2, 12), _bump_values(1), (2, 1, 0, -1)),
+        # (route, q, kernel q, the reference): term 2 of kernel 4 is 10.
+        (
+            "_check_kernels",
+            "kernel",
+            (4, 7),
+            _bump_values(2),
+            ("reference", 4, _bump(REFERENCE_KERNELS[4], 2), REFERENCE_KERNELS[4]),
+        ),
+        # (row sums, the reference): a(4) = 5.
+        (
+            "_check_bell_prefix",
+            "row_sums",
+            (10,),
+            _bump_values(3),
+            (_bump(REFERENCE_BELL, 3), REFERENCE_BELL),
+        ),
+    ],
+    ids=[
+        "a000975",
+        "a002451",
+        "reference-rows",
+        "reference-columns",
+        "a036969",
+        "zero-pattern",
+        "kernel-signs",
+        "kernels",
+        "bell-prefix",
+    ],
+)
+def test_sequence_check_reports_its_first_counterexample(
+    monkeypatch, check, binding, cell, fault, counterexample
+):
+    fn = getattr(flick.verify, binding)
+    monkeypatch.setattr(flick.verify, binding, _planted_at(fn, cell, fault))
+    assert _first_counterexample(getattr(flick.verify, check)) == counterexample
+
+
+def _plant_off_by_one_power_sum(monkeypatch, cell):
+    # The power-sum checks read `power_sum` from `flick.powersum` at each call.
+    planted = _planted_at(
+        flick.powersum.power_sum, cell, lambda r: r._replace(value=r.value + 1)
+    )
+    monkeypatch.setattr(flick.powersum, "power_sum", planted)
+
+
 def test_oracle_grid_reports_an_off_by_one_power_sum(monkeypatch):
-    # The check reads `power_sum` from `flick.powersum` at each call.  Its
-    # cases (m, n, got, want) run over n for each m, so m = 1 passes whole
+    # Cases (m, n, got, want) run over n for each m, so m = 1 passes whole
     # first; S_2(3) = 1 + 4 + 9 = 14.
-    power_sum = flick.powersum.power_sum
-
-    def off_by_one(m, n):
-        result = power_sum(m, n)
-        return result._replace(value=result.value + ((m, n) == (2, 3)))
-
-    monkeypatch.setattr(flick.powersum, "power_sum", off_by_one)
+    _plant_off_by_one_power_sum(monkeypatch, (2, 3))
     assert _first_counterexample(flick.verify._check_oracle_grid) == (2, 3, 15, 14)
+
+
+def test_closed_forms_report_an_off_by_one_power_sum(monkeypatch):
+    # Cases (m, n, c * S_m(n), closed form) run over m for each n; 6 * S_2(3)
+    # = 3 * 4 * 7.
+    _plant_off_by_one_power_sum(monkeypatch, (2, 3))
+    assert _first_counterexample(flick.verify._check_closed_forms) == (2, 3, 90, 84)
 
 
 @pytest.mark.parametrize(
