@@ -18,7 +18,6 @@ def parse_bfile(text: str) -> tuple[int, list[int]]:
     """
     offset: int | None = None
     values: list[int] = []
-    expected = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -29,10 +28,9 @@ def parse_bfile(text: str) -> tuple[int, list[int]]:
         index, value = int(fields[0]), int(fields[1])
         if offset is None:
             offset = index
-        elif index != offset + expected:
+        elif index != offset + len(values):
             raise ValueError(f"line {lineno}: non-consecutive index {index}")
         values.append(value)
-        expected += 1
     if offset is None:
         raise ValueError("empty b-file")
     return offset, values

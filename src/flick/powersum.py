@@ -38,6 +38,7 @@ __all__ = [
     "PowerSumResult",
     "power_sum",
     "power_sum_naive",
+    "power_sum_residue",
 ]
 
 
@@ -132,3 +133,17 @@ def power_sum_naive(m: int, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return sum(i**m for i in range(1, n + 1))
+
+
+def power_sum_residue(m: int, n: int, p: int) -> int:
+    """S_m(n) mod the prime p from at most p - 1 powers mod p: a second route
+    at any n, reading no triangle, basis or oracle.
+
+    By Fermat, 1^m + ... + (p-1)^m = -[(p-1) divides m] and p^m = 0 (mod p),
+    so with n = q*p + r, S_m(n) = -q * [(p-1) divides m] + 1^m + ... + r^m.
+    """
+    if m < 1 or n < 1:
+        raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
+    q, r = divmod(n, p)
+    blocks = -q if m % (p - 1) == 0 else 0
+    return (blocks + sum(pow(i, m, p) for i in range(1, r + 1))) % p

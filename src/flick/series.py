@@ -16,6 +16,7 @@ type; neither route needs it.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import TYPE_CHECKING
 
 from .exact import exact_div
@@ -55,17 +56,11 @@ class PolyZ:
         return bool(self.coeffs)
 
     def __add__(self, other: PolyZ) -> PolyZ:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyZ(out)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return PolyZ([a + b for a, b in pairs])
 
     def __mul__(self, other: PolyZ) -> PolyZ:
-        if not self or not other:
-            return PolyZ([])
+        # A zero factor makes `out` empty or all zeros, which trims to ().
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -82,25 +77,19 @@ class PolyZ:
 
     def to_str(self, var: str = "x") -> str:
         """Human form, ascending like the coefficient list: "1 - 5*x + 4*x^2"."""
-        if not self.coeffs:
-            return "0"
-        parts = []
+        text = ""
         for power, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            sign = "-" if c < 0 else "+"
             mag = abs(c)
             if power == 0:
                 body = str(mag)
             else:
                 head = "" if mag == 1 else f"{mag}*"
                 body = f"{head}{var}" if power == 1 else f"{head}{var}^{power}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            sign = "-" if c < 0 else "+"
+            text += f" {sign} {body}" if text else ("-" if c < 0 else "") + body
+        return text or "0"
 
     def __repr__(self) -> str:
         return f"PolyZ({list(self.coeffs)!r})"
@@ -132,8 +121,7 @@ def _squared_factor_product(n: int, step: int) -> PolyZ:
     """Product of (1 - j^2 * x^step) for j = 1..n, expanded."""
     poly = PolyZ([1])
     for j in range(1, n + 1):
-        factor = [1] + [0] * (step - 1) + [-(j * j)]
-        poly = poly * PolyZ(factor)
+        poly = poly * PolyZ([1] + [0] * (step - 1) + [-(j * j)])
     return poly
 
 
@@ -197,10 +185,7 @@ class SeriesQ:
 
     @classmethod
     def one(cls, order: int) -> SeriesQ:
-        coeffs = [0] * order
-        if order > 0:
-            coeffs[0] = 1
-        return cls(coeffs, order)
+        return cls([int(i == 0) for i in range(order)], order)
 
     def __eq__(self, other) -> bool:
         return (

@@ -6,11 +6,12 @@ Three independent ways to the same numbers:
   * a normalized central finite difference of the power j^(2n+k-2),
   * a binomial sum against Stirling numbers of the second kind.
 
-The last two are index maps, power 2n+k-2 and order 2n-1, over the odd-slot
-kernels of `flick.stirling`, which they share with A008957.  They import
-those kernels on first call, and the column fit imports `flick.series` on
-first call, so reading the grid alone (`flick todd`, `row`, `col`) loads
-neither module.
+Every entry, row, column and corner of the recurrence is an index map over
+one walk of its columns, so the module keeps no state.  The other two ways
+are index maps, power 2n+k-2 and order 2n-1, over the odd-slot kernels of
+`flick.stirling`, shared with A008957.  Those kernels, and `flick.series`
+for the column fit, are imported on first call, so `flick todd`, `row` and
+`col` load neither module.
 
 The array is the odd-column sub-grid of the flickering triangle,
 Todd(m, k) = T(2m + k - 2, 2m - 1), and its odd columns factor as
@@ -21,8 +22,9 @@ and a fitted integer polynomial P_m over a constant denominator D_m.
 from __future__ import annotations
 
 import math
-import threading
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import accumulate, chain, repeat
+from operator import mul
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .exact import exact_div
 
@@ -36,49 +38,31 @@ __all__ = [
     "todd_stirling",
     "todd_row",
     "todd_column",
-    "todd_antidiagonal",
     "base_poly",
     "fit_column_polynomial",
 ]
 
 
-# _ROWS[n - 1] holds Todd(n, 1), Todd(n, 2), ...; filled by `_grid` only.
-_ROWS: list[list[int]] = []
-_LOCK = threading.Lock()
+def _columns(heights: Iterable[int]) -> Iterator[list[int]]:
+    """Column k of Todd, [Todd(1, k), ..., Todd(h, k)], for k = 1, 2, ... and
+    each height h of `heights`, which must be >= 1 and never increase.
 
-
-def _grid(rows: int, cols: int) -> list[list[int]]:
-    """The filled rows of Todd, at least `rows` (>= 1) of them, each at least
-    `cols` long.
-
-    The rectangle grows left to right, top to bottom: each entry needs only
-    its left neighbour and the one above, with Todd(0, k) = 0, so growth is
-    O(rows * cols) with no recursion.  Growth is serialized by a lock.  Rows
-    only lengthen, an upper row before a lower one, so the last row is never
-    longer than any other, and reads of filled entries are safe meanwhile.
+    Todd(n, k) = n * Todd(n, k-1) + [k odd] * Todd(n-1, k), with Todd(0, k)
+    = 0, so an even column is n times the one before, and an odd column the
+    running sum of n times the one before.  Only the current column is kept.
     """
-    if rows > len(_ROWS) or cols > len(_ROWS[-1]):
-        with _LOCK:
-            cols = max(cols, len(_ROWS[0]) if _ROWS else 0)
-            above = [0] * cols
-            for n in range(1, max(rows, len(_ROWS)) + 1):
-                if n > len(_ROWS):
-                    _ROWS.append([1])
-                row = _ROWS[n - 1]
-                for k in range(len(row) + 1, cols + 1):
-                    if k % 2 == 1:
-                        row.append(n * row[-1] + above[k - 1])
-                    else:
-                        row.append(n * row[-1])
-                above = row
-    return _ROWS
+    column: Iterable[int] = chain([1], repeat(0))  # Todd(n, 0) = [n = 1]
+    for k, height in enumerate(heights, start=1):
+        scaled = map(mul, range(1, height + 1), column)
+        column = list(accumulate(scaled) if k % 2 else scaled)
+        yield column
 
 
 def todd_recurrence(n: int, k: int) -> int:
-    """Todd(n, k) by the flickering recurrence (shared lazily-grown grid)."""
+    """Todd(n, k) by the flickering recurrence: column k walked n long."""
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
-    return _grid(n, k)[n - 1][k - 1]
+    return todd_column(k, n)[-1]
 
 
 def todd_finite_difference(n: int, k: int) -> int:
@@ -105,23 +89,16 @@ def todd_row(n: int, count: int) -> list[int]:
     """First `count` entries of row n."""
     if n < 1 or count < 1:
         raise ValueError("need n >= 1 and count >= 1")
-    return _grid(n, count)[n - 1][:count]
+    return [column[-1] for column in _columns(repeat(n, count))]
 
 
 def todd_column(k: int, count: int) -> list[int]:
     """First `count` entries of column k."""
     if k < 1 or count < 1:
         raise ValueError("need k >= 1 and count >= 1")
-    return [row[k - 1] for row in _grid(count, k)[:count]]
-
-
-def todd_antidiagonal(grade: int) -> list[int]:
-    """Todd(m, grade + 2 - 2m) for m = 1 .. (grade + 1) // 2: the entries
-    whose source power 2m + c - 2 is `grade`."""
-    if grade < 1:
-        raise ValueError(f"need grade >= 1, got {grade}")
-    rows = _grid((grade + 1) // 2, grade)[: (grade + 1) // 2]
-    return [row[grade + 1 - 2 * m] for m, row in enumerate(rows, start=1)]
+    for column in _columns(repeat(count, k)):
+        pass
+    return column
 
 
 def base_poly(m: int) -> PolyZ:
@@ -186,8 +163,8 @@ def fit_column_polynomial(m: int) -> ColumnFactorization:
 
     # U(n) = num / den in lowest terms; T_m(n) > 0 for every n >= 1.
     samples = []
-    for n in range(1, cap + 6):
-        todd, denom = todd_recurrence(n, column), base(n)
+    for n, todd in enumerate(todd_column(column, cap + 5), start=1):
+        denom = base(n)
         shared = math.gcd(todd, denom)
         samples.append((n, todd // shared, denom // shared))
     scale = math.lcm(*(den for _, _, den in samples))

@@ -1,6 +1,6 @@
 """Row sums of the triangle (the flickering Bell sequence A395022), the
-anti-diagonal route to the same numbers, and the binomial-transform kernel
-hierarchy sitting underneath it.
+anti-diagonal route to the same numbers over one walk of the Todd array's
+columns, and the binomial-transform kernel hierarchy sitting underneath it.
 
 The forward transform, its inverse and the q-fold inverse `kernel` are one
 binomial sum, sum_{i=0..n} C(n, i) c^(n-i) a_i, at c = 1, -1 and -q, read
@@ -10,6 +10,7 @@ so row n starts with the n-th sum.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .triangle import _next_row
@@ -51,9 +52,9 @@ def row_sums(count: int) -> IntSeq:
 
 
 def antidiagonal_sums(count: int) -> IntSeq:
-    """a(n) recomputed from anti-diagonals of the Todd grid.
+    """a(n) recomputed from anti-diagonals of the Todd array.
 
-    Grading the grid by source power (entry (m, c) is a normalized central
+    Grading the array by source power (entry (m, c) is a normalized central
     difference of j^(2m+c-2)), the odd-order path values for power n lie on
     the grade-n anti-diagonal; for even n the path's even-order values
     collapse onto the grade-(n-1) anti-diagonal.  Their sum equals the
@@ -61,18 +62,18 @@ def antidiagonal_sums(count: int) -> IntSeq:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    # Imported here so that the row-sum and kernel routes load no Todd grid.
-    from .todd import todd_antidiagonal
+    # Imported here so that the row-sum and kernel routes load no Todd walk.
+    from .todd import _columns
 
-    values = []
-    previous = 0  # the grade-(n-1) sum, carried over from the step before
-    for n in range(1, count + 1):
-        # Todd(m, c) over the grade line 2m + c - 2 = n: exactly the
-        # selection-path values extracted from the difference table of j^n.
-        grade = sum(todd_antidiagonal(n))
-        values.append(grade + previous if n % 2 == 0 else grade)
-        previous = grade
-    return IntSeq(values, offset=1)
+    # Column c meets grades c, c + 2, ..., so grades up to `count` read the
+    # staircase of heights (count - c) // 2 + 1, which never increase.
+    grades = [0] * (count + 1)  # grades[g]: the sum of the grade-g line
+    heights = ((count - c) // 2 + 1 for c in range(1, count + 1))
+    for c, column in enumerate(_columns(heights), start=1):
+        grades[c::2] = map(add, grades[c::2], column)
+    # a(n) is the grade-n sum, plus the grade-(n-1) sum for even n.
+    grades[2::2] = map(add, grades[2::2], grades[1::2])
+    return IntSeq(grades[1:], offset=1)
 
 
 def _binomial_sum(values: list[int], c: int) -> list[int]:

@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 from . import powersum
 from .bfile import format_bfile, parse_bfile
 from .exact import exact_div
-from .powersum import fallshift, integral_basis
+from .powersum import fallshift, integral_basis, power_sum_residue
 from .series import (
     SeriesQ,
     bell_closed_form,
@@ -355,7 +355,7 @@ def _check_divisibility():
 
 
 @_check("powersum: basis method equals the naive oracle")
-def _check_oracle_grid():
+def _check_naive_oracle():
     # Want is the literal sum 1^m + ... + n^m, read from the prefix sums of
     # one list of powers per m, each power i^m made from i^(m-1) * i.
     grid = [*range(1, 101), 10**3, 10**4]
@@ -392,6 +392,17 @@ def _check_lemma():
         for j in range(-20, 21):
             lhs = integral_basis(j, k + 1) - integral_basis(j - 1, k + 1)
             yield k, j, lhs, (k + 1) * fallshift(j, k)
+
+
+@_check("powersum: residues mod p equal the sum mod p for n > 10^30")
+def _check_residues():
+    # Case (m, n, p, residue route, power_sum mod p).  (p - 1) divides some m
+    # for every p but 101, and 10^31 leaves no remainder mod 2 and 5.
+    for m in range(1, 13):
+        for n in (10**31, 10**31 + 1, 3**70):
+            value = powersum.power_sum(m, n).value
+            for p in (2, 3, 5, 7, 11, 13, 101):
+                yield m, n, p, power_sum_residue(m, n, p), value % p
 
 
 def _random_series(rng: random.Random, order: int) -> SeriesQ:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -277,10 +278,10 @@ def test_verify_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
         assert code == 1
         assert err == ""
         lines = out.splitlines()
-        assert len(checks) == 32
-        assert sum(line.startswith("PASS  ") for line in lines) == 31
+        assert len(checks) == 33
+        assert sum(line.startswith("PASS  ") for line in lines) == 32
         assert lines[12] == f"FAIL  {name}: {raised}"
-        assert lines[-1] == "1 of 32 checks failed"
+        assert lines[-1] == "1 of 33 checks failed"
 
 
 def test_verify_has_no_bound_option(capsys):
@@ -296,6 +297,39 @@ def test_powersum_check_mismatch_exits_1(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "powersum", "5", "10", "--check")
     assert code == 1
     assert out.splitlines() == [str(faulhaber_sum(5, 10)), "ERROR"]
+
+
+_RESIDUES_OK = "OK (residues mod the 32 primes from 1009 to 1223)"
+
+
+def test_powersum_check_compares_residues_above_ten_thousand(monkeypatch, capsys):
+    # Up to n = 10^4 the check adds the n powers; above it, which the naive
+    # loop would take hours to reach at n = 10^20, it compares residues.
+    import flick.powersum
+
+    naive = []
+    monkeypatch.setattr(flick.powersum, "power_sum_naive", lambda m, n: naive.append(n))
+    for n in (10**4 + 1, 10**20):
+        code, out, _ = run_cli(capsys, "powersum", "5", str(n), "--check")
+        assert (code, out.splitlines()) == (0, [str(faulhaber_sum(5, n)), _RESIDUES_OK])
+    assert naive == []
+
+
+def test_powersum_residue_check_mismatch_exits_1(monkeypatch, capsys):
+    # The error is the product of every prime below 1223, so that only the
+    # last of the 32 residues can catch it.
+    import flick.powersum
+
+    error = math.prod(p for p in range(1009, 1223) if all(p % d for d in range(2, 35)))
+    power_sum = flick.powersum.power_sum
+    monkeypatch.setattr(
+        flick.powersum,
+        "power_sum",
+        lambda m, n: power_sum(m, n)._replace(value=power_sum(m, n).value + error),
+    )
+    code, out, _ = run_cli(capsys, "powersum", "5", str(10**20), "--check")
+    assert code == 1
+    assert out.splitlines() == [str(faulhaber_sum(5, 10**20) + error), "ERROR"]
 
 
 def test_deterministic_output(capsys):

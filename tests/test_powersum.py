@@ -20,6 +20,7 @@ from flick.powersum import (
     integral_basis,
     power_sum,
     power_sum_naive,
+    power_sum_residue,
 )
 from flick.triangle import triangle_entry_recurrence
 
@@ -196,7 +197,28 @@ class TestPowerSum:
         result = power_sum(2, n)
         assert result.value == n * (n + 1) * (2 * n + 1) // 6
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        m=st.integers(1, 40),
+        n=st.integers(1, 300),
+        p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 101]),
+    )
+    def test_residue_matches_the_naive_sum(self, m, n, p):
+        # n up to 300 spans several whole blocks 1..p for every p drawn, and
+        # (p - 1) divides m for some m at each p but 101.
+        assert power_sum_residue(m, n, p) == power_sum_naive(m, n) % p
+
+    def test_residue_at_huge_n(self):
+        n = 10**40 + 3
+        for p in (2, 3, 1009, 1223):
+            assert power_sum_residue(2, n, p) == n * (n + 1) * (2 * n + 1) // 6 % p
+            assert power_sum_residue(1008, n, p) == faulhaber_sum(1008, n) % p
+
     def test_input_validation(self):
+        with pytest.raises(ValueError):
+            power_sum_residue(0, 5, 7)
+        with pytest.raises(ValueError):
+            power_sum_residue(5, 0, 7)
         with pytest.raises(ValueError):
             power_sum(0, 5)
         with pytest.raises(ValueError):

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import flick.todd
 from flick.series import PolyZ
 from flick.todd import (
     ColumnFactorization,
+    _columns,
     _newton_polynomial,
     base_poly,
     fit_column_polynomial,
-    todd_antidiagonal,
     todd_column,
     todd_finite_difference,
     todd_recurrence,
@@ -95,49 +94,39 @@ _READS = st.one_of(
     st.tuples(st.just("entry"), st.integers(1, 12), st.integers(1, 24)),
     st.tuples(st.just("row"), st.integers(1, 12), st.integers(1, 24)),
     st.tuples(st.just("column"), st.integers(1, 24), st.integers(1, 12)),
-    st.tuples(st.just("antidiagonal"), st.integers(1, 24), st.just(0)),
+    st.tuples(st.just("corner"), st.integers(1, 12), st.integers(1, 24)),
 )
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(reads=st.lists(_READS, min_size=1, max_size=8), bad=st.integers(-3, 0))
-def test_grid_lazy_extension(reads, bad):
-    # A fresh grid per example: any order of reads gives the oracle's values,
-    # and the grid is the smallest rectangle holding every cell read so far.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("flick.todd._ROWS", [])
-        rows = cols = 0
-        for kind, a, b in reads:
-            if kind == "entry":
-                got, cells = [todd_recurrence(a, b)], [(a, b)]
-            elif kind == "row":
-                got, cells = todd_row(a, b), [(a, k) for k in range(1, b + 1)]
-            elif kind == "column":
-                got, cells = todd_column(a, b), [(n, a) for n in range(1, b + 1)]
-            else:
-                got = todd_antidiagonal(a)
-                cells = [(m, a + 2 - 2 * m) for m in range(1, (a + 1) // 2 + 1)]
-            assert got == [recurrence_oracle(n, k) for n, k in cells]
-            rows = max(rows, *(n for n, _ in cells))
-            cols = max(cols, *(k for _, k in cells))
-            assert [len(row) for row in flick.todd._ROWS] == [cols] * rows
-        # Warm, so that a wrapped negative index would reach a filled row or column.
-        for read, args in (
-            (todd_recurrence, (bad, 1)),
-            (todd_recurrence, (1, bad)),
-            (todd_row, (bad, 3)),
-            (todd_row, (2, bad)),
-            (todd_column, (bad, 3)),
-            (todd_column, (2, bad)),
-            (todd_antidiagonal, (bad,)),
-        ):
-            with pytest.raises(ValueError):
-                read(*args)
+def test_walk_reads_match_the_plain_recurrence(reads, bad):
+    # Any order of reads gives the oracle's values: each read is its own walk.
+    for kind, a, b in reads:
+        if kind == "entry":
+            got, cells = [todd_recurrence(a, b)], [(a, b)]
+        elif kind == "row":
+            got, cells = todd_row(a, b), [(a, k) for k in range(1, b + 1)]
+        elif kind == "column":
+            got, cells = todd_column(a, b), [(n, a) for n in range(1, b + 1)]
+        else:
+            # The corner as `flick todd` reads it: one walk, transposed.
+            got = [value for row in zip(*_columns([a] * b)) for value in row]
+            cells = [(n, k) for n in range(1, a + 1) for k in range(1, b + 1)]
+        assert got == [recurrence_oracle(n, k) for n, k in cells]
+    for read, args in (
+        (todd_recurrence, (bad, 1)),
+        (todd_recurrence, (1, bad)),
+        (todd_row, (bad, 3)),
+        (todd_row, (2, bad)),
+        (todd_column, (bad, 3)),
+        (todd_column, (2, bad)),
+    ):
+        with pytest.raises(ValueError):
+            read(*args)
 
 
 def test_grid_rejects_out_of_range_lines():
-    # Warm, so that a wrapped negative index would reach a filled row or column.
-    todd_recurrence(6, 6)
     for line, count in ((0, 4), (-1, 3), (2, -1)):
         with pytest.raises(ValueError):
             todd_row(line, count)
@@ -145,17 +134,9 @@ def test_grid_rejects_out_of_range_lines():
             todd_column(line, count)
 
 
-def test_grid_antidiagonal_reads_the_grade_line():
-    # A fresh grid, so that each grade has to extend it first.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("flick.todd._ROWS", [])
-        for grade in range(1, 41):
-            assert todd_antidiagonal(grade) == [
-                todd_recurrence(m, grade + 2 - 2 * m) for m in range(1, (grade + 1) // 2 + 1)
-            ]
-    for grade in (0, -3):
-        with pytest.raises(ValueError):
-            todd_antidiagonal(grade)
+def test_recurrence_at_the_routes_setup_index():
+    # The routes benchmark's set-up reads Todd(300, 600) = T(1198, 599).
+    assert todd_recurrence(300, 600) == todd_finite_difference(300, 600)
 
 
 def test_subgrid_identity():
@@ -214,15 +195,23 @@ def test_fit_rejects_bad_m():
 def test_fit_degree_cap_failure_is_loud(monkeypatch):
     # A column whose ratio is no polynomial must fail at the cap 4m rather
     # than return a bogus fit.
-    monkeypatch.setattr("flick.todd.todd_recurrence", lambda n, k: 2**n)
+    monkeypatch.setattr(
+        "flick.todd.todd_column", lambda k, count: [2**n for n in range(1, count + 1)]
+    )
     with pytest.raises(ArithmeticError, match="not polynomial of degree <= 16$"):
         fit_column_polynomial(4)
     # The cap is exact: a ratio of degree 4m fits, one of degree 4m + 1 does not.
     base = base_poly(4)
-    monkeypatch.setattr("flick.todd.todd_recurrence", lambda n, k: base(n) * n**16)
+    monkeypatch.setattr(
+        "flick.todd.todd_column",
+        lambda k, count: [base(n) * n**16 for n in range(1, count + 1)],
+    )
     fit = fit_column_polynomial(4)
     assert (list(fit.u_numerator.coeffs), fit.denominator) == ([0] * 16 + [1], 1)
-    monkeypatch.setattr("flick.todd.todd_recurrence", lambda n, k: base(n) * n**17)
+    monkeypatch.setattr(
+        "flick.todd.todd_column",
+        lambda k, count: [base(n) * n**17 for n in range(1, count + 1)],
+    )
     with pytest.raises(ArithmeticError, match="not polynomial of degree <= 16$"):
         fit_column_polynomial(4)
 

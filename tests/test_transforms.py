@@ -43,16 +43,22 @@ def test_antidiagonal_sums_prefix():
     assert antidiagonal_sums(1).values == [1]
 
 
-def test_antidiagonal_sums_one_grade_sum_per_term(monkeypatch):
-    # Even terms reuse the grade-(n-1) sum of the step before.
-    grades = []
-    antidiagonal = flick.todd.todd_antidiagonal
-    monkeypatch.setattr(
-        "flick.todd.todd_antidiagonal",
-        lambda grade: grades.append(grade) or antidiagonal(grade),
-    )
-    assert antidiagonal_sums(40) == row_sums(40)
-    assert grades == list(range(1, 41))
+def test_antidiagonal_sums_walk_the_staircase_once(monkeypatch):
+    # Every count, odd and even, so that the staircase's last columns, one
+    # entry high, are read at both parities.  Each call is one walk, over
+    # the heights (count - c) // 2 + 1 of columns c = 1 .. count.
+    walks = []
+    columns = flick.todd._columns
+
+    def recorded(heights):
+        walks.append(list(heights))
+        return columns(walks[-1])
+
+    monkeypatch.setattr(flick.todd, "_columns", recorded)
+    for count in range(1, 61):
+        assert antidiagonal_sums(count) == row_sums(count)
+        assert walks == [[(count - c) // 2 + 1 for c in range(1, count + 1)]]
+        walks.clear()
 
 
 def test_count_validation():

@@ -10,6 +10,7 @@ import flick.powersum
 import flick.triangle
 import flick.verify
 from flick.exact import exact_div
+from flick.series import PolyZ
 from flick.transforms import IntSeq
 from flick.triangle import FlickerTriangle
 from flick.verify import (
@@ -36,6 +37,12 @@ def _planted_at(fn, cell, fault):
 def _bump(values, i):
     """A copy of `values` with values[i] one larger."""
     return [*values[:i], values[i] + 1, *values[i + 1 :]]
+
+
+# Row 2 of Todd, A000975 (floor(2^(k+1) / 3)), and its odd slots
+# (4^k - 1) / 3, each led by the series' constant term 0.
+_ROW_2 = [0] + [2 ** (k + 1) // 3 for k in range(1, 21)]
+_ODD_2 = [0] + [(4**k - 1) // 3 for k in range(1, 11)]
 
 
 def _bump_row(n, i):
@@ -81,6 +88,12 @@ def _bump_values(i):
         # (m, n, fit, todd): the first held-out value of column 3 is Todd(10, 3)
         # = 1^2 + ... + 10^2.
         ("_check_fit_heldout", "todd_recurrence", (10, 3), (1, 10, 385, 386)),
+        # (n, series, odd slots of row n): the odd slots of row 2 are
+        # (4^k - 1) / 3, and Todd(2, 3) = 5.
+        ("_check_gf_odd", "todd_recurrence", (2, 3), (2, _ODD_2, _bump(_ODD_2, 2))),
+        # (m, n, p, residue, S_m(n) mod p): S_1(10^31) = 10^31 (10^31 + 1) / 2
+        # is even.
+        ("_check_residues", "power_sum_residue", (1, 10**31, 2), (1, 10**31, 2, 1, 0)),
     ],
     ids=[
         "power-expansion",
@@ -94,6 +107,8 @@ def _bump_values(i):
         "bell-routes",
         "divisibility",
         "fit-heldout",
+        "genfunc-odd",
+        "residues",
     ],
 )
 def test_identity_check_reports_its_first_counterexample(
@@ -147,6 +162,34 @@ def test_identity_check_reports_its_first_counterexample(
             _bump_values(2),
             ("reference", 4, _bump(REFERENCE_KERNELS[4], 2), REFERENCE_KERNELS[4]),
         ),
+        # (m, (P_m, D_m), the paper's): D_2 = 360.
+        (
+            "_check_fit_exact",
+            "fit_column_polynomial",
+            (2,),
+            lambda fit: fit._replace(denominator=720),
+            (2, ([-1, 5], 720), ([-1, 5], 360)),
+        ),
+        # (m, n, fit(n) - fit(n - 1), n^2 * fit of the column before): adding
+        # D_2 to P_2 adds T_2(n) = n(n+1)(n+2)(2n+1)(2n+3) to column 5, so
+        # at n = 2 the difference is 21 + 840 - (1 + 90), against 4 * Todd(2, 3).
+        (
+            "_check_fit_residual",
+            "fit_column_polynomial",
+            (2,),
+            lambda fit: fit._replace(
+                u_numerator=fit.u_numerator + PolyZ([fit.denominator])
+            ),
+            (2, 2, 770, 20),
+        ),
+        # (n, series, [0] + row n): Todd(2, 5) = 21.
+        (
+            "_check_gf_full",
+            "todd_row",
+            (2, 20),
+            lambda r: _bump(r, 4),
+            (2, _ROW_2, _bump(_ROW_2, 5)),
+        ),
         # (row sums, the reference): a(4) = 5.
         (
             "_check_bell_prefix",
@@ -165,6 +208,9 @@ def test_identity_check_reports_its_first_counterexample(
         "zero-pattern",
         "kernel-signs",
         "kernels",
+        "fit-exact",
+        "fit-residual",
+        "genfunc-full",
         "bell-prefix",
     ],
 )
@@ -188,7 +234,7 @@ def test_oracle_grid_reports_an_off_by_one_power_sum(monkeypatch):
     # Cases (m, n, got, want) run over n for each m, so m = 1 passes whole
     # first; S_2(3) = 1 + 4 + 9 = 14.
     _plant_off_by_one_power_sum(monkeypatch, (2, 3))
-    assert _first_counterexample(flick.verify._check_oracle_grid) == (2, 3, 15, 14)
+    assert _first_counterexample(flick.verify._check_naive_oracle) == (2, 3, 15, 14)
 
 
 def test_closed_forms_report_an_off_by_one_power_sum(monkeypatch):
@@ -242,6 +288,56 @@ def test_collapse_check_reports_a_fault_in_the_extraction_rows(monkeypatch):
         6,
         [1, 6, 1],
         [1, 5, 1],
+    )
+
+
+def test_method_check_reports_a_fault_in_the_extraction_rows(monkeypatch):
+    # The check reads both methods through one `triangle_rows`, so the fault
+    # goes in the extraction it calls: T(5, 3) = 5.
+    extract = flick.triangle.triangle_row_extraction
+
+    def faulted(n):
+        row = extract(n)
+        if n == 5:
+            row[2] += 1
+        return row
+
+    monkeypatch.setattr(flick.triangle, "triangle_row_extraction", faulted)
+    assert _first_counterexample(flick.verify._check_triangle_methods) == (
+        5,
+        [1, 0, 6, 0, 1],
+        [1, 0, 5, 0, 1],
+    )
+
+
+def test_binomial_inverse_check_reports_a_forward_transform(monkeypatch):
+    # An "inverse" with the sign of the forward transform.  The check's
+    # random sequences (seed 395021) are [-35], which any such pair returns
+    # unchanged, then [-7, 28], which goes to [-7, -7 - 7 + 28].
+    monkeypatch.setattr(
+        flick.verify, "inverse_binomial_transform", flick.verify.binomial_transform
+    )
+    assert _first_counterexample(flick.verify._check_binomial_inverse) == (
+        "inverse",
+        2,
+        IntSeq([-7, 14], 0),
+        IntSeq([-7, 28], 0),
+    )
+
+
+def test_bfile_check_reports_a_shifted_offset(monkeypatch):
+    # (offset, what parse_bfile read back, what was written): the first case
+    # is the Bell sequence from offset 1.
+    write = flick.verify.format_bfile
+    monkeypatch.setattr(
+        flick.verify, "format_bfile", lambda values, offset: write(values, offset + 1)
+    )
+    values = flick.verify.row_sums(12).values
+    assert values[:10] == REFERENCE_BELL
+    assert _first_counterexample(flick.verify._check_bfile_roundtrip) == (
+        1,
+        (2, values),
+        (1, values),
     )
 
 
