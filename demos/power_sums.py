@@ -46,3 +46,8 @@ value = power_sum(10, 10**50).value
 elapsed = time.perf_counter() - t0
 print(f"  m=10, n=10^50: basis {elapsed * 1e6:8.1f} us   (naive: not in this lifetime)")
 print(f"  the value has {len(str(value))} digits and starts {str(value)[:40]}...")
+power_sum(300, 1)  # fills triangle row 300
+t0 = time.perf_counter()
+value = power_sum(300, 7 * 10**999).value  # m * bits(n) is past the split threshold
+print(f"  m=300, a 1000-digit n: basis {time.perf_counter() - t0:8.3f} s"
+      f"   (the value has {value.bit_length()} bits)")

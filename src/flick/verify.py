@@ -190,18 +190,21 @@ def _check_todd_methods():
 
 @_check("todd: sub-grid of the triangle at odd columns")
 def _check_subgrid():
+    columns = [todd_column(k, 8) for k in range(1, 11)]
     for m in range(1, 9):
-        for k in range(1, 11):
+        for k, column in enumerate(columns, start=1):
             tri = triangle_entry_recurrence(2 * m + k - 2, 2 * m - 1)
-            yield m, k, todd_recurrence(m, k), tri
+            yield m, k, column[m - 1], tri
 
 
 @_check("todd: column transition Todd(n,2m+1) - Todd(n-1,2m+1) = n^2 Todd(n,2m-1)")
 def _check_transition():
+    # odd[i] is column 2i + 1, rows 1-30.
+    odd = [todd_column(k, 30) for k in range(1, 14, 2)]
     for m in range(1, 7):
         for n in range(2, 31):
-            lhs = todd_recurrence(n, 2 * m + 1) - todd_recurrence(n - 1, 2 * m + 1)
-            yield n, m, lhs, n * n * todd_recurrence(n, 2 * m - 1)
+            lhs = odd[m][n - 1] - odd[m][n - 2]
+            yield n, m, lhs, n * n * odd[m - 1][n - 1]
 
 
 @_check("todd: rows 1-5 x columns 1-8 match the reference corner")
@@ -228,8 +231,9 @@ def _check_fit_heldout():
     # 20 values of each column past the samples its fit was made from.
     for m in range(1, 6):
         fit = fit_column_polynomial(m)
+        column = todd_column(2 * m + 1, 4 * m + 25)
         for n in range(4 * m + 6, 4 * m + 26):
-            yield m, n, fit.todd_value(n), todd_recurrence(n, 2 * m + 1)
+            yield m, n, fit.todd_value(n), column[n - 1]
 
 
 @_check("columns: factorizations satisfy the transition recurrence")
@@ -253,8 +257,9 @@ def _check_gf_full():
 
 @_check("genfunc: odd-slot series match odd todd columns")
 def _check_gf_odd():
+    columns = [todd_column(2 * k - 1, 6) for k in range(1, 11)]
     for n in range(1, 7):
-        expected = [0] + [todd_recurrence(n, 2 * k - 1) for k in range(1, 11)]
+        expected = [0] + [column[n - 1] for column in columns]
         yield n, expand_rational(*row_gf_odd(n), 11), expected
 
 
@@ -397,12 +402,24 @@ def _check_lemma():
 @_check("powersum: residues mod p equal the sum mod p for n > 10^30")
 def _check_residues():
     # Case (m, n, p, residue route, power_sum mod p).  (p - 1) divides some m
-    # for every p but 101, and 10^31 leaves no remainder mod 2 and 5.
-    for m in range(1, 13):
-        for n in (10**31, 10**31 + 1, 3**70):
-            value = powersum.power_sum(m, n).value
-            for p in (2, 3, 5, 7, 11, 13, 101):
-                yield m, n, p, power_sum_residue(m, n, p), value % p
+    # for every p but 101 and 1009, and 10^31 leaves no remainder mod 2 and 5.
+    # The m past 12 reach power_sum's split nest (m * bits(n) >= 20 000): at
+    # n = 3^400 (634 bits) m = 31 is below that threshold, and 32 | 33 and
+    # 64 | 65 straddle the leaf size, 32 terms; at the other n, m = 150 is
+    # below the threshold and 301 above it.  A split multiplies its right
+    # half by a product of 16 or more consecutive integers, which every p up
+    # to 13 divides, so a fault there leaves those residues alone; these
+    # cases add 1009, which divides none of n - m/2, ..., n + m/2 here.
+    primes = (2, 3, 5, 7, 11, 13, 101)
+    small = (10**31, 10**31 + 1, 3**70)
+    cases = [(m, n, primes) for m in range(1, 13) for n in small]
+    split = [(m, 3**400) for m in (31, 32, 33, 34, 63, 64, 65, 66)]
+    split += [(m, n) for m in (97, 150, 301) for n in small]
+    cases += [(m, n, primes + (1009,)) for m, n in split]
+    for m, n, case_primes in cases:
+        value = powersum.power_sum(m, n).value
+        for p in case_primes:
+            yield m, n, p, power_sum_residue(m, n, p), value % p
 
 
 def _random_series(rng: random.Random, order: int) -> SeriesQ:

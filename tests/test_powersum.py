@@ -113,6 +113,28 @@ class TestPowerSum:
     def test_matches_faulhaber(self, m, n):
         assert power_sum(m, n).value == faulhaber_sum(m, n)
 
+    @pytest.mark.parametrize("split_bits", [0, None], ids=["split", "default"])
+    def test_every_m_across_three_leaves_matches_the_naive_loop(
+        self, monkeypatch, split_bits
+    ):
+        # These n are far below the split threshold, so "split" lowers it to 0:
+        # then m = 33 is the first to split, and each leaf edge is crossed.
+        if split_bits is not None:
+            monkeypatch.setattr(flick.powersum, "_SPLIT_BITS", split_bits)
+        for m in range(1, 3 * flick.powersum._LEAF + 1):
+            for n in (1, 2, 3, 17, 1000):
+                assert power_sum(m, n).value == power_sum_naive(m, n), (m, n)
+
+    # m * bits(n) runs from 1 to about 213 000, so both sides of the split
+    # threshold (20 000) are drawn, at odd and even m alike.
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        m=st.integers(1, 320),
+        n=st.integers(1, 200).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)),
+    )
+    def test_split_and_one_pass_match_faulhaber(self, m, n):
+        assert power_sum(m, n).value == faulhaber_sum(m, n)
+
     def test_cold_cli_past_the_old_recursion_limit(self):
         # A fresh process has no table rows; m = 1500 once overflowed the
         # Python stack in the recursive coefficient lookup.
@@ -183,7 +205,9 @@ class TestPowerSum:
         # With every factor n + 1 the "bases" are no longer runs of consecutive
         # integers, so the final division by lcm(1..m+1) leaves a remainder,
         # and so does the k = 3 term of the breakdown.
-        monkeypatch.setattr(flick.powersum, "_basis_factor", lambda n, k: n + 1)
+        monkeypatch.setattr(
+            flick.powersum, "_basis_factors", lambda n, m: [n + 1] * (m + 1)
+        )
         with pytest.raises(InexactDivisionError):
             power_sum(3, 2)
         with pytest.raises(InexactDivisionError):

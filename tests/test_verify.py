@@ -66,10 +66,6 @@ def _bump_values(i):
         ("_check_lemma", "fallshift", (3, 2), (2, 3, 18, 21)),
         # (k, n, sum, I_3(3)): 3 * sum of fallshift(j, 2), j = 1..3, is 3 * (0 + 2 + 6).
         ("_check_telescoping", "integral_basis", (3, 3), (2, 3, 24, 25)),
-        # (m, k, todd, tri): Todd(2, 3) = T(5, 3) = 5.
-        ("_check_subgrid", "todd_recurrence", (2, 3), (2, 3, 6, 5)),
-        # (n, m, lhs, rhs): Todd(2, 3) - Todd(1, 3) = 5 - 1 = 2^2 * Todd(2, 1).
-        ("_check_transition", "todd_recurrence", (2, 3), (2, 1, 5, 4)),
         # (route, n, k, todd, recurrence): Todd(2, 3) = 5.
         (
             "_check_todd_methods",
@@ -85,12 +81,6 @@ def _bump_values(i):
         ("_check_bell_routes", "bell_closed_form", (3,), ("closed form", 3, 3, 2)),
         # (n, k, I_2(n) mod 2!, 0): the cases run over n for k = 1 first.
         ("_check_divisibility", "integral_basis", (3, 2), (3, 1, 1, 0)),
-        # (m, n, fit, todd): the first held-out value of column 3 is Todd(10, 3)
-        # = 1^2 + ... + 10^2.
-        ("_check_fit_heldout", "todd_recurrence", (10, 3), (1, 10, 385, 386)),
-        # (n, series, odd slots of row n): the odd slots of row 2 are
-        # (4^k - 1) / 3, and Todd(2, 3) = 5.
-        ("_check_gf_odd", "todd_recurrence", (2, 3), (2, _ODD_2, _bump(_ODD_2, 2))),
         # (m, n, p, residue, S_m(n) mod p): S_1(10^31) = 10^31 (10^31 + 1) / 2
         # is even.
         ("_check_residues", "power_sum_residue", (1, 10**31, 2), (1, 10**31, 2, 1, 0)),
@@ -99,15 +89,11 @@ def _bump_values(i):
         "power-expansion",
         "lemma",
         "telescoping",
-        "subgrid",
-        "transition",
         "todd-methods",
         "a008957",
         "stirling-oracle",
         "bell-routes",
         "divisibility",
-        "fit-heldout",
-        "genfunc-odd",
         "residues",
     ],
 )
@@ -131,6 +117,28 @@ def test_identity_check_reports_its_first_counterexample(
             (3, 60),
             lambda r: _bump(r, 2),
             ("odd", 3, 15, 14),
+        ),
+        # (m, k, todd, tri): Todd(2, 3) = T(5, 3) = 5, read from column 3.
+        ("_check_subgrid", "todd_column", (3, 8), lambda c: _bump(c, 1), (2, 3, 6, 5)),
+        # (n, m, lhs, rhs): Todd(2, 3) - Todd(1, 3) = 5 - 1 = 2^2 * Todd(2, 1).
+        ("_check_transition", "todd_column", (3, 30), lambda c: _bump(c, 1), (2, 1, 5, 4)),
+        # (m, n, fit, todd): the first held-out value of column 3 is Todd(10, 3)
+        # = 1^2 + ... + 10^2.
+        (
+            "_check_fit_heldout",
+            "todd_column",
+            (3, 29),
+            lambda c: _bump(c, 9),
+            (1, 10, 385, 386),
+        ),
+        # (n, series, odd slots of row n): the odd slots of row 2 are
+        # (4^k - 1) / 3, and Todd(2, 3) = 5.
+        (
+            "_check_gf_odd",
+            "todd_column",
+            (3, 6),
+            lambda c: _bump(c, 1),
+            (2, _ODD_2, _bump(_ODD_2, 2)),
         ),
         # (n, row n, the reference row): Todd(2, 3) = 5.
         (
@@ -200,6 +208,10 @@ def test_identity_check_reports_its_first_counterexample(
         ),
     ],
     ids=[
+        "subgrid",
+        "transition",
+        "fit-heldout",
+        "genfunc-odd",
         "a000975",
         "a002451",
         "reference-rows",
@@ -242,6 +254,23 @@ def test_closed_forms_report_an_off_by_one_power_sum(monkeypatch):
     # = 3 * 4 * 7.
     _plant_off_by_one_power_sum(monkeypatch, (2, 3))
     assert _first_counterexample(flick.verify._check_closed_forms) == (2, 3, 90, 84)
+
+
+def test_residue_check_reports_a_fault_in_the_split_nest(monkeypatch):
+    # Every product Q_1 that a half of power_sum's split nest hands up to its
+    # combine step is one too large.  Below the split threshold and at one
+    # leaf no Q is formed, so the first case hit is m = 33 at n = 3^400, the
+    # first split into two leaves; there S_33(n) mod 2 counts the odd
+    # i <= n, (n + 1) / 2, which is odd since 3^400 = 1 (mod 4).
+    split = flick.powersum._split
+
+    def faulted(row, scale, factors, lo, hi, with_product):
+        value, product = split(row, scale, factors, lo, hi, with_product)
+        return value, product + 1 if with_product else product
+
+    monkeypatch.setattr(flick.powersum, "_split", faulted)
+    check = flick.verify._check_residues
+    assert _first_counterexample(check) == (33, 3**400, 2, 1, 0)
 
 
 @pytest.mark.parametrize(
